@@ -101,6 +101,9 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
                               cfg.uplink_mbps);
     topo.switch_at(tor_nodes_[f->rack])->Route(f->vci, 0);
     topo.switch_at(core_node_)->Route(f->vci, 0);
+    f->route.hops = {Hop{f->ingress, tor_nodes_[f->rack]},
+                     Hop{kNoLink, core_node_}};
+    f->route.vci = f->vci;
 
     f->sender->set_below(f->fwd.get());
     f->receiver->set_below(f->rev.get());
@@ -129,40 +132,23 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
 }
 
 Status IncastWorld::FabricChannel::Push(Message m) {
-  Flow& f = world_->flow(flow_);
-  const std::uint64_t bytes = m.length();
-  Machine& mach = *stack_->machine();
   // Serialize onto the sender's own wire, then queue through both switch
   // tiers analytically. A drop at any stage eats the frame (counted at the
   // dropping element); the bits upstream of the drop were still spent.
-  const TopoLink::Outcome w =
-      world_->topo.link(f.ingress).Transmit(bytes, mach.clock().Now());
-  if (w.dropped) {
-    wire_drops_++;
+  const Crossing c = world_->topo.Carry(world_->flow(flow_).route, m.length(),
+                                        stack_->machine()->clock().Now());
+  if (c.dropped) {
     return Status::kOk;
   }
-  const SwitchNode::Outcome t1 =
-      world_->topo.switch_at(world_->tor_node(f.rack))
-          ->Forward(f.vci, bytes, w.arrival);
-  if (t1.dropped) {
-    return Status::kOk;
-  }
-  const SwitchNode::Outcome t2 =
-      world_->topo.switch_at(world_->core_node())->Forward(f.vci, bytes, t1.done);
-  if (t2.dropped) {
-    return Status::kOk;
-  }
-  const bool marked = t1.ecn_marked || t2.ecn_marked;
   // Hold references across the flight; the delivery event drops them.
   Status st = stack_->RetainMessage(m, *domain());
   if (!Ok(st)) {
     return st;
   }
   forwarded_++;
-  const SimTime arrival = t2.done;
   world_->loop.Schedule(
-      std::max(world_->loop.Now(), arrival), "incast-deliver",
-      [this, m, arrival, marked] {
+      std::max(world_->loop.Now(), c.arrival), "incast-deliver",
+      [this, m, arrival = c.arrival, marked = c.ecn_marked] {
         if (!domain()->alive()) {
           // The sender died mid-flight: §3.3 cleanup already dropped the
           // references this channel held, so the frame simply never lands.

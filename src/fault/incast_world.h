@@ -126,13 +126,11 @@ class IncastWorld {
     Status Pop(Message) override { return Status::kInvalidArgument; }
     bool touches_body() const override { return false; }
 
-    std::uint64_t wire_drops() const { return wire_drops_; }
     std::uint64_t forwarded() const { return forwarded_; }
 
    private:
     IncastWorld* world_;
     std::size_t flow_;
-    std::uint64_t wire_drops_ = 0;
     std::uint64_t forwarded_ = 0;
   };
 
@@ -158,6 +156,7 @@ class IncastWorld {
     std::size_t rack = 0;
     std::uint32_t vci = 0;
     LinkId ingress = 0;
+    Route route;  // ingress wire via the rack's ToR, then the core downlink
     Domain* sender_domain = nullptr;
     PathId tx_hdr = 0;
     PathId rx_hdr = 0;

@@ -1,5 +1,6 @@
 #include "src/net/atm.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace fbufs {
@@ -19,13 +20,11 @@ std::vector<AtmCell> AtmSegmenter::Segment(const std::vector<std::uint8_t>& pdu,
                                            std::uint32_t vci) {
   // Total bytes on the wire: payload + padding + 8-byte trailer, a multiple
   // of the cell payload size, with the trailer in the last 8 bytes.
-  const std::size_t with_trailer = pdu.size() + sizeof(AalTrailer);
-  const std::size_t cells_needed =
-      (with_trailer + AtmCell::kPayloadBytes - 1) / AtmCell::kPayloadBytes;
-  const std::size_t total = cells_needed * AtmCell::kPayloadBytes;
+  const std::size_t total = AtmWireBytes(pdu.size());
+  const std::size_t cells_needed = total / AtmCell::kPayloadBytes;
 
   std::vector<std::uint8_t> frame(total, 0);
-  std::memcpy(frame.data(), pdu.data(), pdu.size());
+  std::copy(pdu.begin(), pdu.end(), frame.begin());
   AalTrailer trailer;
   trailer.length = static_cast<std::uint32_t>(pdu.size());
   trailer.crc = Crc32(pdu.data(), pdu.size());

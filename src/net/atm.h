@@ -1,10 +1,13 @@
 // ATM cells and AAL5-style segmentation/reassembly.
 //
 // The Osiris board moves PDUs as streams of 53-byte ATM cells (48-byte
-// payload). This module implements the real wire format the simulated link
-// carries: segmentation of a PDU into cells tagged with VCI and an
-// end-of-PDU marker, and reassembly with length and CRC-32 verification, so
-// cell loss and corruption are detectable exactly as AAL5 detects them.
+// payload). The simulated fabric carries only a PDU's cell-rounded byte
+// count (AtmWireBytes): links drop whole PDUs and nothing corrupts a single
+// cell, so per-cell copies would change no simulated time. This module also
+// implements the AAL5 wire format itself: segmentation of a PDU into cells
+// tagged with VCI and an end-of-PDU marker, and reassembly with length and
+// CRC-32 verification, so cell loss and corruption are detectable exactly as
+// AAL5 detects them (tests/atm_test.cc).
 #ifndef SRC_NET_ATM_H_
 #define SRC_NET_ATM_H_
 
@@ -30,8 +33,15 @@ struct AalTrailer {
 };
 static_assert(sizeof(AalTrailer) == 8);
 
+// Bytes a PDU of |payload_bytes| occupies on the wire: payload plus the
+// trailer, rounded up to whole cell payloads.
+constexpr std::uint64_t AtmWireBytes(std::uint64_t payload_bytes) {
+  return (payload_bytes + sizeof(AalTrailer) + AtmCell::kPayloadBytes - 1) /
+         AtmCell::kPayloadBytes * AtmCell::kPayloadBytes;
+}
+
 // CRC-32 (IEEE 802.3 polynomial, bitwise implementation — clarity over
-// speed; the simulator is not bandwidth-bound on host cycles here).
+// speed; it runs only where the AAL5 format itself is exercised).
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t len);
 
 class AtmSegmenter {

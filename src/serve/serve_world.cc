@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/net/atm.h"
+
 namespace fbufs {
 
 ServeWorld::ServeWorld(const ServeWorldConfig& config)
@@ -24,7 +26,9 @@ ServeWorld::ServeWorld(const ServeWorldConfig& config)
                                           &raw->machine.costs(),
                                           "wire/" + std::to_string(i),
                                           cfg_.client_link_mbps));
-    reassemblers_.push_back(std::make_unique<AtmReassembler>());
+    client_routes_.push_back(
+        Route{server_node_, n, cfg_.base_vci + static_cast<std::uint32_t>(i),
+              {Hop{client_links_.back(), kNoNode}}});
   }
 
   // The cache and the server protocol live on the server host; responses
@@ -309,40 +313,22 @@ void ServeWorld::WirePdu(std::uint64_t id, SimHost::StagedPdu pdu) {
     stats_.discarded_pdus++;
     return;
   }
-  const std::uint32_t client_i = it->second.spec.client;
-  SimHost& srv = server();
-  SimHost& rx = client(client_i);
-  const std::uint32_t vci = cfg_.base_vci + client_i;
-
-  // The PDU crosses as ATM cells, mirroring TopologyRunner: segment with
-  // the AAL5 trailer, serialize on TX DMA, occupy the client's wire (drops
-  // decided at the far end), RX DMA, reassemble.
-  const std::vector<AtmCell> cells = AtmSegmenter::Segment(pdu.payload, vci);
-  const std::uint64_t wire_bytes = cells.size() * AtmCell::kPayloadBytes;
-  const SimTime t = srv.out_adapter().TxDma(wire_bytes, pdu.ready);
-  const TopoLink::Outcome out =
-      topo_.link(client_links_[client_i]).Transmit(wire_bytes, t);
-  if (out.dropped) {
+  // The same route as TopologyRunner's legs: TX DMA, the client's wire
+  // (drops decided at the far end), RX DMA.
+  const Crossing c = topo_.Carry(client_routes_[it->second.spec.client],
+                                 AtmWireBytes(pdu.payload.size()), pdu.ready);
+  if (c.dropped) {
     PduDropped(id);
     return;
   }
-  const SimTime rx_dma_done = rx.adapter.RxDma(wire_bytes, out.arrival);
+  const SimTime rx_dma_done = c.arrival;
   if (latency_enabled_ && rx_dma_done >= pdu.ready) {
     // Staged-at-driver to RX-DMA-complete: TX DMA + cells on the wire + RX
     // DMA — the PDU's whole time on the network path.
     lat_.wire.push_back(rx_dma_done - pdu.ready);
   }
-  std::vector<std::uint8_t> reassembled;
-  Status cell_st = Status::kExhausted;
-  for (const AtmCell& cell : cells) {
-    cell_st = reassemblers_[client_i]->Push(cell, &reassembled);
-  }
-  if (!Ok(cell_st)) {
-    FailRequest(id, cell_st);  // CRC failure cannot happen on these links
-    return;
-  }
   loop_.Schedule(Key(rx_dma_done), "deliver/" + std::to_string(id),
-                 [this, id, payload = std::move(reassembled),
+                 [this, id, payload = std::move(pdu.payload),
                   rx_dma_done]() mutable {
                    DeliverPduEvent(id, std::move(payload), rx_dma_done);
                  });

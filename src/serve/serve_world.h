@@ -8,9 +8,9 @@
 // the FileServer over the IPC fabric — synchronously, or batched over
 // transfer rings when |use_rings| is set. The response blocks the server
 // pushes down its stack come out of the driver as staged PDUs; the world
-// segments them into ATM cells, runs them over the client's link (drops
-// included), reassembles, and delivers into the client's receive stack,
-// mirroring TopologyRunner's wire mechanics.
+// carries each one's cell-rounded byte count over the client's route
+// (Topology::Carry: TX DMA, link with its drops, RX DMA) and delivers the
+// payload into the client's receive stack, as TopologyRunner does.
 //
 // Flow lifecycle (§3.3): a request completes when its last PDU is delivered
 // (or accounted dropped); the client's dealloc notice rides back one cell
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "src/cache/file_cache.h"
-#include "src/net/atm.h"
 #include "src/pressure/backoff.h"
 #include "src/pressure/pressure.h"
 #include "src/serve/file_server.h"
@@ -174,7 +173,7 @@ class ServeWorld {
   NodeId server_node_ = 0;
   std::vector<NodeId> client_nodes_;
   std::vector<LinkId> client_links_;
-  std::vector<std::unique_ptr<AtmReassembler>> reassemblers_;
+  std::vector<Route> client_routes_;
 
   Domain* frontend_dom_ = nullptr;
   PathId request_path_ = kNoPath;

@@ -7,9 +7,6 @@ namespace fbufs {
 
 namespace {
 
-using Leg = TopologyRunner::Leg;
-using Hop = TopologyRunner::Hop;
-
 // The receiver is always built first so its machine is the cost-model
 // reference for link timing (matching the historical testbed).
 NodeId BuildReceiver(BuiltTopology* b, const TopologyConfig& cfg,
@@ -41,7 +38,7 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
       b.sender_links.push_back(wire);
       b.runner = std::make_unique<TopologyRunner>(b.topo.get(), b.loop.get());
       b.flows.push_back(b.runner->AddFlow(
-          {Leg{tx, rx, cfg.base_vci, {Hop{wire, kNoNode}}}},
+          {Route{tx, rx, cfg.base_vci, {Hop{wire, kNoNode}}}},
           b.topo->host(rx)->sink.get(), cfg.window));
       break;
     }
@@ -65,7 +62,7 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
             i == 0 ? b.topo->host(rx)->sink.get()
                    : b.topo->host(rx)->AddFlowEndpoint(vci, port, i);
         b.flows.push_back(b.runner->AddFlow(
-            {Leg{tx, rx, vci, {Hop{wire, kNoNode}}}}, sink, cfg.window));
+            {Route{tx, rx, vci, {Hop{wire, kNoNode}}}}, sink, cfg.window));
       }
       break;
     }
@@ -94,8 +91,8 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
                    : b.topo->host(rx)->AddFlowEndpoint(vci, port, i);
         // One leg, two hops: uplink into the switch, then the trunk.
         b.flows.push_back(b.runner->AddFlow(
-            {Leg{tx, rx, vci,
-                 {Hop{uplink, b.switch_node}, Hop{b.trunk_link, kNoNode}}}},
+            {Route{tx, rx, vci,
+                   {Hop{uplink, b.switch_node}, Hop{b.trunk_link, kNoNode}}}},
             sink, cfg.window));
       }
       break;
@@ -123,7 +120,7 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
             "relay" + std::to_string(r), &wiring)));
       }
       b.runner = std::make_unique<TopologyRunner>(b.topo.get(), b.loop.get());
-      std::vector<Leg> legs;
+      std::vector<Route> legs;
       NodeId prev = tx;
       for (std::size_t r = 0; r <= cfg.relays; ++r) {
         const NodeId next = r < cfg.relays ? b.relay_nodes[r] : rx;
@@ -131,9 +128,9 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
             prev, next, ReceiverCosts(&b), "wire/" + std::to_string(r),
             cfg.sender_link_mbps);
         b.sender_links.push_back(wire);
-        legs.push_back(Leg{prev, next,
-                           cfg.base_vci + static_cast<std::uint32_t>(r),
-                           {Hop{wire, kNoNode}}});
+        legs.push_back(Route{prev, next,
+                             cfg.base_vci + static_cast<std::uint32_t>(r),
+                             {Hop{wire, kNoNode}}});
         prev = next;
       }
       b.flows.push_back(b.runner->AddFlow(

@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/net/atm.h"
+
 namespace fbufs {
 
-std::size_t TopologyRunner::AddFlow(std::vector<Leg> legs, SinkProtocol* sink,
+std::size_t TopologyRunner::AddFlow(std::vector<Route> legs, SinkProtocol* sink,
                                     std::uint32_t window) {
   assert(!legs.empty());
   Flow flow;
   flow.legs = std::move(legs);
   flow.sink = sink;
   flow.window = window;
-  for (std::size_t i = 0; i < flow.legs.size(); ++i) {
-    flow.reassemblers.push_back(std::make_unique<AtmReassembler>());
-  }
   flows_.push_back(std::move(flow));
   return flows_.size() - 1;
 }
@@ -127,9 +126,6 @@ void TopologyRunner::SenderStep(std::size_t flow) {
       SimHost::StagedPdu pdu = std::move(tx.staged.front());
       tx.staged.pop_front();
       RunLeg(flow, 0, m, std::move(pdu));
-      if (run.failed) {
-        return;
-      }
     }
   }
   ScheduleSenderStep(flow);
@@ -137,60 +133,28 @@ void TopologyRunner::SenderStep(std::size_t flow) {
 
 void TopologyRunner::RunLeg(std::size_t flow, std::size_t leg_i,
                             std::uint64_t msg, SimHost::StagedPdu pdu) {
-  FlowRun& run = runs_[flow];
-  Flow& f = flows_[flow];
-  const Leg& leg = f.legs[leg_i];
-  SimHost& tx = *topo_->host(leg.tx);
-
-  // The PDU really crosses as ATM cells: segment with the AAL5 trailer,
-  // reassemble (length + CRC verified) on the receiving board. The serial
-  // resources are acquired in pipeline order; each acquisition advances
-  // that resource's busy-until, never a host clock.
-  const std::vector<AtmCell> cells = AtmSegmenter::Segment(pdu.payload, leg.vci);
-  const std::uint64_t wire_bytes = cells.size() * AtmCell::kPayloadBytes;
-  SimTime t = tx.out_adapter().TxDma(wire_bytes, pdu.ready);
-  for (const Hop& hop : leg.hops) {
-    const TopoLink::Outcome wire_out = topo_->link(hop.link).Transmit(wire_bytes, t);
-    t = wire_out.arrival;
-    if (wire_out.dropped) {
-      PduDropped(flow, msg);
-      return;
-    }
-    if (hop.via_switch != kNoNode) {
-      const SwitchNode::Outcome fwd =
-          topo_->switch_at(hop.via_switch)->Forward(leg.vci, wire_bytes, t);
-      if (fwd.dropped) {
-        PduDropped(flow, msg);
-        return;
-      }
-      t = fwd.done;
-    }
-  }
-  SimHost& rx = *topo_->host(leg.rx);
-  const SimTime rx_dma_done = rx.adapter.RxDma(wire_bytes, t);
-
-  std::vector<std::uint8_t> reassembled;
-  Status cell_st = Status::kExhausted;
-  for (const AtmCell& cell : cells) {
-    cell_st = f.reassemblers[leg_i]->Push(cell, &reassembled);
-  }
-  if (!Ok(cell_st)) {
-    run.failed = true;  // CRC failure cannot happen on these links
+  const Flow& f = flows_[flow];
+  // Each acquisition along the route advances that resource's busy-until,
+  // never a host clock.
+  const Crossing c = topo_->Carry(f.legs[leg_i],
+                                  AtmWireBytes(pdu.payload.size()), pdu.ready);
+  if (c.dropped) {
+    PduDropped(flow, msg);
     return;
   }
-
+  const SimTime rx_dma_done = c.arrival;
   if (leg_i + 1 == f.legs.size()) {
     loop_->Schedule(
         Key(rx_dma_done),
         "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
-        [this, flow, msg, payload = std::move(reassembled), rx_dma_done]() mutable {
+        [this, flow, msg, payload = std::move(pdu.payload), rx_dma_done]() mutable {
           DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
         });
   } else {
     loop_->Schedule(
         Key(rx_dma_done),
         "relay/" + std::to_string(flow) + "/" + std::to_string(msg),
-        [this, flow, leg_i, msg, payload = std::move(reassembled),
+        [this, flow, leg_i, msg, payload = std::move(pdu.payload),
          rx_dma_done]() mutable {
           RelayEvent(flow, leg_i, msg, std::move(payload), rx_dma_done);
         });
@@ -200,21 +164,37 @@ void TopologyRunner::RunLeg(std::size_t flow, std::size_t leg_i,
 void TopologyRunner::DeliverEvent(std::size_t flow, std::uint64_t msg,
                                   std::vector<std::uint8_t> payload,
                                   SimTime rx_dma_done) {
-  FlowRun& run = runs_[flow];
-  if (run.failed) {
+  if (runs_[flow].failed) {
     return;
   }
   SimHost& rx = RxHost(flow);
-  if (rx.machine.num_cpus() > 1) {
-    DeliverMulticore(flow, msg, std::move(payload), rx_dma_done);
+  if (rx.machine.num_cpus() == 1) {
+    // The receiving CPU picks the PDU up no earlier than its DMA completion;
+    // it may already be past that point serving another delivery.
+    rx.machine.clock().AdvanceToAtLeast(rx_dma_done);
+    Receive(flow, msg, std::move(payload), rx_dma_done);
     return;
   }
-  SimClock& rx_clock = rx.machine.clock();
-  // The receiving CPU picks the PDU up no earlier than its DMA completion;
-  // it may already be past that point serving another delivery.
-  rx_clock.AdvanceToAtLeast(rx_dma_done);
+  assert(rx.dispatcher != nullptr && "multicore receiver without a dispatcher");
+  // RSS steering: every PDU of this flow is serviced on its rx_cpu lane,
+  // serialized behind other flows hashed to the same lane.
+  rx.dispatcher->RunOnCpu(
+      runs_[flow].rx_cpu, rx_dma_done,
+      "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
+      [this, flow, msg, payload = std::move(payload), rx_dma_done]() mutable {
+        if (!runs_[flow].failed) {
+          Receive(flow, msg, std::move(payload), rx_dma_done);
+        }
+      });
+}
 
-  const SimTime rx_before = rx_clock.Now();
+void TopologyRunner::Receive(std::size_t flow, std::uint64_t msg,
+                             std::vector<std::uint8_t> payload,
+                             SimTime rx_dma_done) {
+  FlowRun& run = runs_[flow];
+  SimHost& rx = RxHost(flow);
+  SimClock& clock = rx.machine.clock();  // the active lane: rx_cpu
+  const SimTime before = clock.Now();
   const Status st = rx.driver->DeliverPdu(payload, flows_[flow].legs.back().vci,
                                           rx.config.volatile_fbufs);
   if (!Ok(st)) {
@@ -234,63 +214,17 @@ void TopologyRunner::DeliverEvent(std::size_t flow, std::uint64_t msg,
   if (backpressure_on_) {
     run.rx_backoff.Progress(loop_->Now());
   }
-  const SimTime rx_after = rx_clock.Now();
-  rx.cpu.RecordBusy(rx_before, rx_after);
-  run.rx_busy += rx_after - rx_before;
-  run.rx_end = rx_after;
-
+  const SimTime after = clock.Now();
+  // A multicore lane's busy time is booked by its dispatch queue.
+  if (rx.machine.num_cpus() == 1) {
+    rx.cpu.RecordBusy(before, after);
+  }
+  run.rx_busy += after - before;
+  run.rx_end = after;
   assert(run.pdus_left[msg] > 0);
   if (--run.pdus_left[msg] == 0) {
     CompleteMessage(flow, msg);
   }
-}
-
-void TopologyRunner::DeliverMulticore(std::size_t flow, std::uint64_t msg,
-                                      std::vector<std::uint8_t> payload,
-                                      SimTime rx_dma_done) {
-  FlowRun& run = runs_[flow];
-  SimHost& rx = RxHost(flow);
-  assert(rx.dispatcher != nullptr && "multicore receiver without a dispatcher");
-  // RSS steering: every PDU of this flow is serviced on run.rx_cpu. The
-  // dispatch queue serializes it behind other flows hashed to the same lane;
-  // the lane's RecordBusy is performed by the queue itself.
-  rx.dispatcher->RunOnCpu(
-      run.rx_cpu, rx_dma_done,
-      "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
-      [this, flow, msg, payload = std::move(payload), rx_dma_done]() mutable {
-        FlowRun& r = runs_[flow];
-        if (r.failed) {
-          return;
-        }
-        SimHost& rxh = RxHost(flow);
-        SimClock& lane_clock = rxh.machine.clock();  // active lane = rx_cpu
-        const SimTime rx_before = lane_clock.Now();
-        const Status st = rxh.driver->DeliverPdu(
-            payload, flows_[flow].legs.back().vci, rxh.config.volatile_fbufs);
-        if (!Ok(st)) {
-          if (backpressure_on_ && IsBackpressure(st)) {
-            ParkFlow(flow, r.rx_backoff,
-                     "rxpark/" + std::to_string(flow) + "/" + std::to_string(msg),
-                     [this, flow, msg, payload = std::move(payload),
-                      rx_dma_done]() mutable {
-                       DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
-                     });
-            return;
-          }
-          r.failed = true;
-          return;
-        }
-        if (backpressure_on_) {
-          r.rx_backoff.Progress(loop_->Now());
-        }
-        const SimTime rx_after = lane_clock.Now();
-        r.rx_busy += rx_after - rx_before;
-        r.rx_end = rx_after;
-        assert(r.pdus_left[msg] > 0);
-        if (--r.pdus_left[msg] == 0) {
-          CompleteMessage(flow, msg);
-        }
-      });
 }
 
 void TopologyRunner::RelayEvent(std::size_t flow, std::size_t leg_i,
@@ -301,7 +235,7 @@ void TopologyRunner::RelayEvent(std::size_t flow, std::size_t leg_i,
   if (run.failed) {
     return;
   }
-  const Leg& leg = flows_[flow].legs[leg_i];
+  const Route& leg = flows_[flow].legs[leg_i];
   SimHost& relay = *topo_->host(leg.rx);
   // RSS: a multicore relay services this leg's VCI on a fixed lane.
   const std::uint32_t relay_cpu = RssSteer(leg.vci, relay.machine.num_cpus());
@@ -330,9 +264,6 @@ void TopologyRunner::RelayEvent(std::size_t flow, std::size_t leg_i,
     SimHost::StagedPdu pdu = std::move(relay.staged.front());
     relay.staged.pop_front();
     RunLeg(flow, leg_i + 1, msg, std::move(pdu));
-    if (run.failed) {
-      return;
-    }
   }
   assert(run.pdus_left[msg] > 0);
   if (--run.pdus_left[msg] == 0) {
@@ -509,7 +440,7 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
     const SimTime tx_elapsed = run.tx_end - run.t0_tx;
     const SimTime rx_elapsed = run.rx_end > run.t0_rx ? run.rx_end - run.t0_rx : 0;
     SimTime wire_tail = 0;
-    for (const Leg& leg : flows_[i].legs) {
+    for (const Route& leg : flows_[i].legs) {
       for (const Hop& hop : leg.hops) {
         const SimTime bu = topo_->link(hop.link).busy_until();
         if (bu > run.t0_tx) {

@@ -2,10 +2,11 @@
 // engine and reports per-flow throughput/goodput plus per-resource
 // utilization.
 //
-// A flow is a route of one or more legs. Each leg runs the full testbed
-// pipeline — segment to ATM cells, TX DMA, one or more wire hops (each
-// optionally through a switch), RX DMA, reassemble — and ends at either the
-// final receiver (sink delivery, "deliver/<flow>/<msg>") or a relay host
+// A flow is a route of one or more legs. Each leg carries a staged PDU's
+// cell-rounded byte count (AtmWireBytes) through Topology::Carry — TX DMA,
+// one or more wire hops (each optionally through a switch), RX DMA — and
+// hands the payload itself to the arrival event at either the final
+// receiver (sink delivery, "deliver/<flow>/<msg>") or a relay host
 // ("relay/<flow>/<msg>"), which receives the PDU into fbufs, forwards
 // fbuf-to-fbuf across its domains onto the second adapter, and the next leg
 // carries what it staged. Dropped PDUs (lossy link, full switch queue) are
@@ -24,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "src/net/atm.h"
 #include "src/pressure/backoff.h"
 #include "src/sim/event_loop.h"
 #include "src/topo/topology.h"
@@ -81,27 +81,12 @@ class TopologyRunner {
  public:
   TopologyRunner(Topology* topo, EventLoop* loop) : topo_(topo), loop_(loop) {}
 
-  // One wire hop: a link, optionally terminating at a switch that forwards
-  // onto the next hop's link.
-  struct Hop {
-    LinkId link = 0;
-    NodeId via_switch = kNoNode;  // set when the hop lands on a switch
-  };
-
-  // One leg: |tx| stages PDUs on its outbound adapter, they cross |hops|,
-  // and |rx| receives them (a relay continues onto the next leg, the last
-  // leg's rx is the final receiver).
-  struct Leg {
-    NodeId tx = 0;
-    NodeId rx = 0;
-    std::uint32_t vci = 0;  // VCI the PDUs carry on this leg
-    std::vector<Hop> hops;
-  };
-
   // Adds a flow along |legs| delivering into |sink| (a sink on the last
-  // leg's rx host). |window| is the sliding-window depth in messages.
+  // leg's rx host). Each leg is one Route: |tx| stages PDUs on its outbound
+  // adapter, they cross |hops|, and |rx| receives them (a relay continues
+  // onto the next leg). |window| is the sliding-window depth in messages.
   // Returns the flow index.
-  std::size_t AddFlow(std::vector<Leg> legs, SinkProtocol* sink,
+  std::size_t AddFlow(std::vector<Route> legs, SinkProtocol* sink,
                       std::uint32_t window);
 
   // Enables backpressure handling: a send or delivery failing with a
@@ -127,11 +112,9 @@ class TopologyRunner {
 
  private:
   struct Flow {
-    std::vector<Leg> legs;
+    std::vector<Route> legs;
     SinkProtocol* sink = nullptr;
     std::uint32_t window = 8;
-    // One reassembler per leg (each leg is its own AAL5 conversation).
-    std::vector<std::unique_ptr<AtmReassembler>> reassemblers;
   };
 
   // Per-flow state of one RunFlows invocation.
@@ -179,13 +162,16 @@ class TopologyRunner {
   // event (deliver on the last leg, relay otherwise) or records the drop.
   void RunLeg(std::size_t flow, std::size_t leg, std::uint64_t msg,
               SimHost::StagedPdu pdu);
+  // Runs Receive inline on a 1-CPU receiver. A multicore receiver enqueues
+  // it on its dispatcher, pinned to the flow's RSS lane; queueing delay
+  // behind other flows sharing the lane is measured by the dispatch queue.
   void DeliverEvent(std::size_t flow, std::uint64_t msg,
                     std::vector<std::uint8_t> payload, SimTime rx_dma_done);
-  // Multicore receive path: enqueues the delivery on the receiver host's
-  // dispatcher, pinned to the flow's RSS lane. Queueing delay behind other
-  // flows sharing the lane is measured by the dispatch queue.
-  void DeliverMulticore(std::size_t flow, std::uint64_t msg,
-                        std::vector<std::uint8_t> payload, SimTime rx_dma_done);
+  // Delivers one PDU into the receiver's stack on its current lane: parks
+  // on backpressure, books the busy time, and completes the message with
+  // its last PDU.
+  void Receive(std::size_t flow, std::uint64_t msg,
+               std::vector<std::uint8_t> payload, SimTime rx_dma_done);
   void RelayEvent(std::size_t flow, std::size_t leg, std::uint64_t msg,
                   std::vector<std::uint8_t> payload, SimTime rx_dma_done);
   void PduDropped(std::size_t flow, std::uint64_t msg);

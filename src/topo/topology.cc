@@ -96,4 +96,38 @@ LinkId Topology::AddLink(NodeId from, NodeId to, const CostParams* costs,
   return id;
 }
 
+Crossing Topology::Carry(const Route& route, std::uint64_t wire_bytes,
+                         SimTime ready) {
+  Crossing c;
+  c.arrival = ready;
+  if (route.tx != kNoNode) {
+    c.arrival = host(route.tx)->out_adapter().TxDma(wire_bytes, c.arrival);
+  }
+  for (const Hop& hop : route.hops) {
+    if (hop.link != kNoLink) {
+      const TopoLink::Outcome wire =
+          link(hop.link).Transmit(wire_bytes, c.arrival);
+      c.arrival = wire.arrival;
+      if (wire.dropped) {
+        c.dropped = c.dropped_on_wire = true;
+        return c;
+      }
+    }
+    if (hop.via_switch != kNoNode) {
+      const SwitchNode::Outcome fwd =
+          switch_at(hop.via_switch)->Forward(route.vci, wire_bytes, c.arrival);
+      if (fwd.dropped) {
+        c.dropped = true;
+        return c;
+      }
+      c.arrival = fwd.done;
+      c.ecn_marked = c.ecn_marked || fwd.ecn_marked;
+    }
+  }
+  if (route.rx != kNoNode) {
+    c.arrival = host(route.rx)->adapter.RxDma(wire_bytes, c.arrival);
+  }
+  return c;
+}
+
 }  // namespace fbufs

@@ -32,6 +32,7 @@ namespace fbufs {
 using NodeId = std::size_t;
 using LinkId = std::size_t;
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+inline constexpr LinkId kNoLink = static_cast<LinkId>(-1);
 
 // A unidirectional link: a NullModemLink wire plus loss injection.
 class TopoLink {
@@ -166,6 +167,31 @@ class SwitchNode {
   MetricsRegistry* metrics_ = nullptr;
 };
 
+// One wire hop: a link, a switch, or a link that lands on a switch (which
+// forwards onto the next hop).
+struct Hop {
+  LinkId link = kNoLink;
+  NodeId via_switch = kNoNode;
+};
+
+// The way one PDU crosses the fabric: out of |tx|'s outbound DMA engine,
+// over |hops| in order, into |rx|'s receive DMA engine. Either adapter end
+// may be kNoNode (a fabric-only route). Switches forward by |vci|.
+struct Route {
+  NodeId tx = kNoNode;
+  NodeId rx = kNoNode;
+  std::uint32_t vci = 0;
+  std::vector<Hop> hops;
+};
+
+// How one PDU fared on a Route.
+struct Crossing {
+  SimTime arrival = 0;            // RX DMA done, else the last hop's completion
+  bool dropped = false;           // shed by a link or a switch
+  bool dropped_on_wire = false;   // shed by a lossy link
+  bool ecn_marked = false;        // some switch on the route marked it
+};
+
 // The graph. Nodes are added in a fixed order (construction order is part of
 // a scenario's deterministic identity); links reference nodes by id.
 class Topology {
@@ -188,6 +214,12 @@ class Topology {
   TopoLink& link(LinkId id) { return *links_[id]; }
   std::size_t node_count() const { return hosts_.size(); }
   std::size_t link_count() const { return links_.size(); }
+
+  // Carries a PDU of |wire_bytes| staged at |ready| along |route|. Acquires
+  // TX DMA, then each hop's link and switch port, then RX DMA, and stops at
+  // the first drop: nothing past it is acquired. The only place the
+  // fabric's serial resources are acquired.
+  Crossing Carry(const Route& route, std::uint64_t wire_bytes, SimTime ready);
 
  private:
   std::uint64_t seed_;

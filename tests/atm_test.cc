@@ -37,9 +37,10 @@ TEST(Atm, SegmentProducesCellMultiples) {
 }
 
 TEST(Atm, RoundTripExactSizes) {
-  for (const std::size_t n : {1u, 40u, 41u, 48u, 96u, 1000u, 16384u}) {
+  for (const std::size_t n : {0u, 1u, 40u, 41u, 48u, 96u, 1000u, 16384u}) {
     const auto pdu = Pattern(n, 9);
     const auto cells = AtmSegmenter::Segment(pdu, 7);
+    EXPECT_EQ(AtmWireBytes(n), cells.size() * AtmCell::kPayloadBytes) << n;
     AtmReassembler r;
     std::vector<std::uint8_t> out;
     Status st = Status::kExhausted;
@@ -55,6 +56,10 @@ TEST(Atm, TrailerExactlyFillsLastCell) {
   // 40 bytes + 8 trailer == one cell exactly; 41 bytes forces two.
   EXPECT_EQ(AtmSegmenter::Segment(Pattern(40, 0), 1).size(), 1u);
   EXPECT_EQ(AtmSegmenter::Segment(Pattern(41, 0), 1).size(), 2u);
+  for (const std::size_t n : {0u, 40u, 41u}) {
+    const auto cells = AtmSegmenter::Segment(Pattern(n, 0), 1);
+    EXPECT_EQ(AtmWireBytes(n), cells.size() * AtmCell::kPayloadBytes) << n;
+  }
 }
 
 TEST(Atm, CorruptedPayloadFailsCrc) {

@@ -1,8 +1,8 @@
 // Tests for the topology fabric: declarative construction (star, fan-in
 // switch, relay chain), trace-hash determinism of multi-host schedules,
 // fbuf-to-fbuf relay forwarding (pointer identity, zero copies), bounded
-// switch queues shedding load without hanging the run, and deterministic
-// per-link loss injection.
+// switch queues shedding load without hanging the run, deterministic
+// per-link loss injection, and Topology::Carry's acquire-until-drop order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -186,6 +186,104 @@ TEST(Topology, LinkLossIsDeterministicAndStaysOnItsLink) {
   EXPECT_EQ(first.clean_drops, 0u);
   EXPECT_EQ(first.flow0_dropped, first.lossy_drops);
   EXPECT_EQ(first.flow1_dropped, 0u);
+}
+
+// A one-sender fan-in: sender --uplink--> switch --trunk--> receiver, and
+// the route a PDU takes across it.
+struct FanIn {
+  BuiltTopology b;
+  Route route;
+};
+
+FanIn OneSenderFanIn() {
+  TopologyConfig cfg;
+  cfg.shape = TopologyShape::kFanInSwitch;
+  cfg.senders = 1;
+  FanIn f{BuildTopology(cfg), {}};
+  f.route = Route{f.b.sender_nodes[0], f.b.receiver_node, cfg.base_vci,
+                  {Hop{f.b.sender_links[0], f.b.switch_node},
+                   Hop{f.b.trunk_link, kNoNode}}};
+  return f;
+}
+
+TEST(Carry, LinkDropStopsBeforeTheSwitchAndRxDma) {
+  FanIn f = OneSenderFanIn();
+  Topology& topo = *f.b.topo;
+  topo.link(f.b.sender_links[0]).set_drop_percent(100);
+  const Crossing c = topo.Carry(f.route, 4800, 0);
+  EXPECT_TRUE(c.dropped);
+  EXPECT_TRUE(c.dropped_on_wire);
+  // The bits were serialized up to the drop...
+  EXPECT_GT(topo.host(f.b.sender_nodes[0])->adapter.tx_dma().busy_ns(), 0u);
+  EXPECT_GT(topo.link(f.b.sender_links[0]).wire().busy_ns(), 0u);
+  // ...and nothing past it was acquired.
+  SwitchNode* sw = topo.switch_at(f.b.switch_node);
+  EXPECT_EQ(sw->port_forwarded(0), 0u);
+  EXPECT_EQ(sw->port_drops(0), 0u);
+  EXPECT_EQ(sw->port_resource(0).busy_ns(), 0u);
+  EXPECT_EQ(topo.link(f.b.trunk_link).wire().busy_ns(), 0u);
+  EXPECT_EQ(topo.host(f.b.receiver_node)->adapter.rx_dma().busy_ns(), 0u);
+}
+
+TEST(Carry, FullSwitchQueueDropsWithoutTouchingRxDma) {
+  FanIn f = OneSenderFanIn();
+  Topology& topo = *f.b.topo;
+  SwitchNode* sw = topo.switch_at(f.b.switch_node);
+  sw->set_port_queue_limit(0, 0);  // every arrival is shed
+  const Crossing c = topo.Carry(f.route, 4800, 0);
+  EXPECT_TRUE(c.dropped);
+  EXPECT_FALSE(c.dropped_on_wire);
+  EXPECT_EQ(sw->port_drops(0), 1u);
+  EXPECT_EQ(topo.link(f.b.trunk_link).wire().busy_ns(), 0u);
+  Resource& rx_dma = topo.host(f.b.receiver_node)->adapter.rx_dma();
+  EXPECT_EQ(rx_dma.busy_ns(), 0u);
+
+  // With room in the queue the same route reaches RX DMA.
+  sw->set_port_queue_limit(0, 1);
+  const Crossing ok = topo.Carry(f.route, 4800, 0);
+  EXPECT_FALSE(ok.dropped);
+  EXPECT_GT(rx_dma.busy_ns(), 0u);
+  EXPECT_EQ(ok.arrival, rx_dma.busy_until());
+}
+
+TEST(Carry, AdapterlessTwoSwitchRouteOrsEcnMarks) {
+  // The incast shape: an ingress wire landing on a ToR, then the core
+  // downlink. Whichever tier is slower builds a standing queue and marks
+  // the second of two back-to-back PDUs.
+  struct Case {
+    double tor_mbps;
+    double core_mbps;
+    std::uint64_t tor_marks;
+    std::uint64_t core_marks;
+  };
+  for (const Case& k : {Case{50, 155, 1, 0}, Case{155, 50, 0, 1}}) {
+    const CostParams costs;
+    Topology topo;
+    SwitchPortConfig tor_port;
+    tor_port.mbps = k.tor_mbps;
+    SwitchPortConfig core_port;
+    core_port.mbps = k.core_mbps;
+    const NodeId tor = topo.AddSwitch("tor", {tor_port});
+    const NodeId core = topo.AddSwitch("core", {core_port});
+    const LinkId ingress = topo.AddLink(tor, tor, &costs, "ingress", 155);
+    for (const NodeId sw : {tor, core}) {
+      topo.switch_at(sw)->Route(7, 0);
+      topo.switch_at(sw)->set_ecn_threshold(1);
+    }
+    const Route route{kNoNode, kNoNode, 7,
+                      {Hop{ingress, tor}, Hop{kNoLink, core}}};
+
+    const Crossing first = topo.Carry(route, 4800, 0);
+    const Crossing second = topo.Carry(route, 4800, 0);
+    EXPECT_FALSE(first.dropped);
+    EXPECT_FALSE(second.dropped);
+    EXPECT_FALSE(first.ecn_marked);
+    EXPECT_TRUE(second.ecn_marked) << k.tor_mbps << "/" << k.core_mbps;
+    EXPECT_EQ(topo.switch_at(tor)->port_ecn_marks(0), k.tor_marks);
+    EXPECT_EQ(topo.switch_at(core)->port_ecn_marks(0), k.core_marks);
+    EXPECT_EQ(second.arrival,
+              topo.switch_at(core)->port_resource(0).busy_until());
+  }
 }
 
 }  // namespace
