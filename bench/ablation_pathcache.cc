@@ -8,7 +8,7 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 namespace bench {
@@ -17,11 +17,11 @@ namespace {
 // Average receive-side CPU cost per PDU with |vcis| active circuits
 // delivering round-robin.
 double PerPduUs(std::uint32_t vcis, std::string* attr_json = nullptr) {
-  TestbedConfig cfg;
-  cfg.placement = StackPlacement::kUserKernel;
-  cfg.cached = true;
-  Testbed tb(cfg);
-  SimHost& rx = tb.receiver();
+  TopologyConfig cfg;
+  cfg.host.placement = StackPlacement::kUserKernel;
+  cfg.host.cached = true;
+  BuiltTopology b = BuildTopology(cfg);
+  SimHost& rx = *b.topo->host(b.receiver_node);
   // Register one data path per VCI (all sharing the same domain chain).
   std::vector<PathId> paths;
   for (std::uint32_t v = 0; v < vcis; ++v) {

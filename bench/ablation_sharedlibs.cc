@@ -7,19 +7,26 @@
 // exposes that as cache_pressure_ns; sweeping it to zero simulates perfect
 // shared libraries and shows how much of the medium-size gap it explains.
 #include <cstdio>
+#include <cstdlib>
 
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 namespace bench {
 namespace {
 
 double Run(StackPlacement p, SimTime pressure_ns, std::uint64_t bytes) {
-  TestbedConfig cfg;
-  cfg.placement = p;
-  cfg.machine.costs.cache_pressure_ns = pressure_ns;
-  Testbed tb(cfg);
-  return tb.Run(10, bytes, /*warmup=*/2).throughput_mbps;
+  TopologyConfig cfg;
+  cfg.host.placement = p;
+  cfg.host.machine.costs.cache_pressure_ns = pressure_ns;
+  BuiltTopology b = BuildTopology(cfg);
+  const MultiResult mr = b.runner->RunFlows({{10, bytes, /*warmup=*/2}});
+  if (mr.failed) {
+    std::fprintf(stderr, "ablation_sharedlibs: flow failed at %llu-byte messages\n",
+                 static_cast<unsigned long long>(bytes));
+    std::abort();
+  }
+  return mr.flows[0].throughput_mbps;
 }
 
 int Main() {

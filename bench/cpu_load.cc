@@ -9,20 +9,34 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 namespace bench {
 namespace {
 
-Testbed::Result Run(bool cached, std::uint64_t pdu) {
-  TestbedConfig cfg;
-  cfg.placement = StackPlacement::kUserKernel;
-  cfg.pdu_size = pdu;
-  cfg.cached = cached;
-  cfg.volatile_fbufs = cached;
-  Testbed tb(cfg);
-  return tb.Run(16, 1 << 20, /*warmup=*/2);
+// Streams 16 1 MB messages on the kDirect testbed. With |attr_json| set, it
+// also receives the receiving host's conservation-checked time breakdown.
+MultiResult Run(bool cached, std::uint64_t pdu, std::string* attr_json = nullptr) {
+  TopologyConfig cfg;
+  cfg.host.placement = StackPlacement::kUserKernel;
+  cfg.host.pdu_size = pdu;
+  cfg.host.cached = cached;
+  cfg.host.volatile_fbufs = cached;
+  BuiltTopology b = BuildTopology(cfg);
+  MultiResult mr = b.runner->RunFlows({{16, 1 << 20, /*warmup=*/2}});
+  if (mr.failed) {
+    std::fprintf(stderr, "cpu_load: flow failed (%s, %llu KB PDUs)\n",
+                 cached ? "cached" : "uncached",
+                 static_cast<unsigned long long>(pdu / 1024));
+    std::abort();
+  }
+  if (attr_json != nullptr) {
+    *attr_json = "{\n    \"receiver\": " +
+                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
+                 "\n  }";
+  }
+  return mr;
 }
 
 int Main() {
@@ -43,28 +57,18 @@ int Main() {
     std::printf("%6lluKB %10s %11.0f%% %12s %14.1f\n",
                 static_cast<unsigned long long>(c.pdu / 1024),
                 c.cached ? "cached" : "uncached", r.receiver_cpu_load * 100.0, c.paper,
-                r.throughput_mbps);
+                r.flows[0].throughput_mbps);
     report.BeginRow()
         .Field("pdu_kb", static_cast<double>(c.pdu / 1024))
         .Field("fbufs", c.cached ? "cached" : "uncached")
         .Field("rx_cpu_load", r.receiver_cpu_load)
-        .Field("throughput_mbps", r.throughput_mbps);
+        .Field("throughput_mbps", r.flows[0].throughput_mbps);
   }
   // Per-layer time breakdown of the receiving host in the headline
   // configuration (cached, 16 KB PDUs); conservation-checked.
-  {
-    TestbedConfig cfg;
-    cfg.placement = StackPlacement::kUserKernel;
-    cfg.pdu_size = 16 * 1024;
-    cfg.cached = true;
-    cfg.volatile_fbufs = true;
-    Testbed tb(cfg);
-    tb.Run(16, 1 << 20, /*warmup=*/2);
-    report.RawSection(
-        "time_attribution",
-        "{\n    \"receiver\": " + TimeAttributionJson(tb.receiver().machine) +
-            "\n  }");
-  }
+  std::string attr_json;
+  Run(true, 16 * 1024, &attr_json);
+  report.RawSection("time_attribution", attr_json);
   report.Write();
   // The paper's headline ("up to 45% CPU reduction or up to 2x throughput")
   // compares the saturated uncached receiver against the cached one once

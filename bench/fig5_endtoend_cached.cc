@@ -11,21 +11,36 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 namespace bench {
 namespace {
 
-double Run(StackPlacement p, std::uint64_t size) {
-  TestbedConfig cfg;
-  cfg.placement = p;
-  cfg.pdu_size = 16 * 1024;
-  cfg.cached = true;
-  cfg.volatile_fbufs = true;
-  Testbed tb(cfg);
+// One kDirect testbed run at |size|-byte messages. With |attr_json| set, it
+// also receives both hosts' conservation-checked time breakdown.
+double Run(StackPlacement p, std::uint64_t size, std::string* attr_json = nullptr) {
+  TopologyConfig cfg;
+  cfg.host.placement = p;
+  cfg.host.pdu_size = 16 * 1024;
+  cfg.host.cached = true;
+  cfg.host.volatile_fbufs = true;
+  BuiltTopology b = BuildTopology(cfg);
   const std::uint64_t messages = std::max<std::uint64_t>(8, (16ull << 20) / size);
-  return tb.Run(messages, size, /*warmup=*/2).throughput_mbps;
+  const MultiResult mr = b.runner->RunFlows({{messages, size, /*warmup=*/2}});
+  if (mr.failed) {
+    std::fprintf(stderr, "fig5: flow failed at %llu-byte messages\n",
+                 static_cast<unsigned long long>(size));
+    std::abort();
+  }
+  if (attr_json != nullptr) {
+    *attr_json = "{\n    \"sender\": " +
+                 TimeAttributionJson(b.topo->host(b.sender_nodes[0])->machine) +
+                 ",\n    \"receiver\": " +
+                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
+                 "\n  }";
+  }
+  return mr.flows[0].throughput_mbps;
 }
 
 int Main() {
@@ -50,20 +65,9 @@ int Main() {
   // Per-layer time breakdown from one representative configuration
   // (user-user, 256 KB messages). TimeAttributionJson aborts if any host's
   // attributed time disagrees with its clock.
-  {
-    TestbedConfig cfg;
-    cfg.placement = StackPlacement::kUserKernel;
-    cfg.pdu_size = 16 * 1024;
-    cfg.cached = true;
-    cfg.volatile_fbufs = true;
-    Testbed tb(cfg);
-    tb.Run(64, 256 * 1024, /*warmup=*/2);
-    report.RawSection(
-        "time_attribution",
-        "{\n    \"sender\": " + TimeAttributionJson(tb.sender().machine) +
-            ",\n    \"receiver\": " + TimeAttributionJson(tb.receiver().machine) +
-            "\n  }");
-  }
+  std::string attr_json;
+  Run(StackPlacement::kUserKernel, 256 * 1024, &attr_json);
+  report.RawSection("time_attribution", attr_json);
   report.Write();
   std::printf(
       "\nshape checks: ceiling ~285 Mbps (paper: 285, I/O bound); crossings negligible at\n"

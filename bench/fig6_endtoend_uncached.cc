@@ -11,21 +11,37 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 namespace bench {
 namespace {
 
-double Run(StackPlacement p, std::uint64_t size, bool kernel_baseline) {
-  TestbedConfig cfg;
-  cfg.placement = p;
-  cfg.pdu_size = 16 * 1024;
-  cfg.cached = kernel_baseline;          // baseline keeps cached buffers
-  cfg.volatile_fbufs = kernel_baseline;  // and volatile semantics
-  Testbed tb(cfg);
+// One kDirect testbed run at |size|-byte messages. With |attr_json| set, it
+// also receives both hosts' conservation-checked time breakdown.
+double Run(StackPlacement p, std::uint64_t size, bool kernel_baseline,
+           std::string* attr_json = nullptr) {
+  TopologyConfig cfg;
+  cfg.host.placement = p;
+  cfg.host.pdu_size = 16 * 1024;
+  cfg.host.cached = kernel_baseline;          // baseline keeps cached buffers
+  cfg.host.volatile_fbufs = kernel_baseline;  // and volatile semantics
+  BuiltTopology b = BuildTopology(cfg);
   const std::uint64_t messages = std::max<std::uint64_t>(8, (16ull << 20) / size);
-  return tb.Run(messages, size, /*warmup=*/2).throughput_mbps;
+  const MultiResult mr = b.runner->RunFlows({{messages, size, /*warmup=*/2}});
+  if (mr.failed) {
+    std::fprintf(stderr, "fig6: flow failed at %llu-byte messages\n",
+                 static_cast<unsigned long long>(size));
+    std::abort();
+  }
+  if (attr_json != nullptr) {
+    *attr_json = "{\n    \"sender\": " +
+                 TimeAttributionJson(b.topo->host(b.sender_nodes[0])->machine) +
+                 ",\n    \"receiver\": " +
+                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
+                 "\n  }";
+  }
+  return mr.flows[0].throughput_mbps;
 }
 
 int Main() {
@@ -50,20 +66,9 @@ int Main() {
   }
   // Per-layer time breakdown from one representative uncached configuration
   // (user-user, 256 KB messages); conservation-checked per host.
-  {
-    TestbedConfig cfg;
-    cfg.placement = StackPlacement::kUserKernel;
-    cfg.pdu_size = 16 * 1024;
-    cfg.cached = false;
-    cfg.volatile_fbufs = false;
-    Testbed tb(cfg);
-    tb.Run(64, 256 * 1024, /*warmup=*/2);
-    report.RawSection(
-        "time_attribution",
-        "{\n    \"sender\": " + TimeAttributionJson(tb.sender().machine) +
-            ",\n    \"receiver\": " + TimeAttributionJson(tb.receiver().machine) +
-            "\n  }");
-  }
+  std::string attr_json;
+  Run(StackPlacement::kUserKernel, 256 * 1024, false, &attr_json);
+  report.RawSection("time_attribution", attr_json);
   report.Write();
   std::printf(
       "\nshape checks: user-user ~12%% below the kernel-kernel baseline (paper: 252 vs 285\n"

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 using namespace fbufs;
 
@@ -32,14 +32,18 @@ int main(int argc, char** argv) {
       {"user-user, uncached", StackPlacement::kUserKernel, false, "1"},
   };
   for (const Case& c : cases) {
-    TestbedConfig cfg;
-    cfg.placement = c.placement;
-    cfg.cached = c.cached;
-    cfg.volatile_fbufs = c.cached;
-    Testbed tb(cfg);
-    const auto r = tb.Run(/*messages=*/12, msg_bytes, /*warmup=*/2);
-    std::printf("%-24s %12.1f %9.0f%% %9.0f%% %16s\n", c.name, r.throughput_mbps,
-                r.sender_cpu_load * 100, r.receiver_cpu_load * 100, c.crossings);
+    TopologyConfig cfg;
+    cfg.host.placement = c.placement;
+    cfg.host.cached = c.cached;
+    cfg.host.volatile_fbufs = c.cached;
+    BuiltTopology b = BuildTopology(cfg);
+    const MultiResult r = b.runner->RunFlows({{/*messages=*/12, msg_bytes, /*warmup=*/2}});
+    if (r.failed) {
+      std::fprintf(stderr, "%s: flow failed\n", c.name);
+      return 1;
+    }
+    std::printf("%-24s %12.1f %9.0f%% %9.0f%% %16s\n", c.name, r.flows[0].throughput_mbps,
+                r.flows[0].sender_cpu_load * 100, r.receiver_cpu_load * 100, c.crossings);
   }
 
   std::printf("\nWith cached/volatile fbufs the protection-domain crossings cost almost\n"

@@ -65,11 +65,10 @@ Status RemapTransfer::ReceiverFree(BufferRef& ref, Domain& receiver) {
 Status RemapTransfer::SenderFree(BufferRef& ref, Domain& sender) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
   ActorScope actor(machine_->attribution(), sender.id());
-  // Move semantics: after Send the sender no longer owns the pages. Only a
-  // buffer that was never sent (or bounced back in ping-pong) is released
-  // here.
+  // Move semantics: after Send the sender no longer owns the pages, and the
+  // receiver's ReceiverFree returns the shared range. Only a buffer that was
+  // never sent (or bounced back in ping-pong) is released here.
   if (sender.FindEntry(PageOf(ref.sender_addr)) == nullptr) {
-    shared_va_.Free(ref.sender_addr, ref.pages);
     return Status::kOk;
   }
   machine_->clock().Advance(machine_->costs().va_free_ns);

@@ -6,6 +6,25 @@ namespace fbufs {
 
 namespace {
 
+// OC-3 line rate of every fabric wire: the sender NIC wires, the ToR
+// uplinks and the core downlink to the receiver (the bottleneck). The
+// fabric must be the bottleneck for congestion to exist: all domains share
+// one host CPU (one clock), which can source roughly one PDU per ~0.6 ms of
+// protocol + crossing work, so the line rate sits well below that packet
+// rate at the 32 KB PDU the benches use. (At the paper's 516 Mbps a 32 KB
+// PDU serializes in 0.5 ms — the CPU, not the wire, would saturate first,
+// and no queue would ever build.)
+constexpr double kLineMbps = 155.0;
+// Reverse-path (ack) latency; acks are tiny and never contend.
+constexpr SimTime kAckDelayNs = 20 * kMicrosecond;
+// Producer re-try pace when the window/credits close. Much shorter than the
+// RTO: acks arrive at RTT timescales (queueing + ack delay), and a producer
+// that napped a whole RTO would quantize every transport's goodput to
+// window-per-RTO bursts, hiding the congestion dynamics this world exists
+// to show. The cap is RTT-scale too, for the same reason.
+constexpr SimTime kParkInitial = 250 * kMicrosecond;
+constexpr SimTime kParkCap = 4 * kMillisecond;
+
 MachineConfig MachineFor(const IncastWorldConfig& cfg) {
   MachineConfig m;
   m.phys_frames = cfg.phys_frames;
@@ -53,7 +72,7 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
       rpc(&machine),
       stack(&machine, &fsys, &rpc),
       topo(cfg.seed),
-      pressure(&fsys, cfg.pressure),
+      pressure(&fsys, PressureConfig{}),
       receiver_domain(machine.CreateDomain("receiver")),
       cfg_(cfg) {
   fsys.AttachRpc(&rpc);
@@ -68,13 +87,13 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
   // bottleneck every flow crosses).
   for (std::uint32_t r = 0; r < cfg.racks; ++r) {
     SwitchPortConfig up;
-    up.mbps = cfg.uplink_mbps;
+    up.mbps = kLineMbps;
     up.queue_pdus = cfg.switch_queue_pdus;
     tor_nodes_.push_back(topo.AddSwitch("tor" + std::to_string(r), {up}));
     topo.switch_at(tor_nodes_.back())->set_ecn_threshold(cfg.ecn_threshold_pdus);
   }
   SwitchPortConfig down;
-  down.mbps = cfg.core_mbps;
+  down.mbps = kLineMbps;
   down.queue_pdus = cfg.switch_queue_pdus;
   core_node_ = topo.AddSwitch("core", {down});
   topo.switch_at(core_node_)->set_ecn_threshold(cfg.ecn_threshold_pdus);
@@ -98,7 +117,7 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
     // itself); both endpoints record the rack's ToR for the fault scripts.
     f->ingress = topo.AddLink(tor_nodes_[f->rack], tor_nodes_[f->rack],
                               &machine.costs(), "ingress/" + std::to_string(i),
-                              cfg.uplink_mbps);
+                              kLineMbps);
     topo.switch_at(tor_nodes_[f->rack])->Route(f->vci, 0);
     topo.switch_at(core_node_)->Route(f->vci, 0);
     f->route.hops = {Hop{f->ingress, tor_nodes_[f->rack]},
@@ -123,9 +142,9 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
         return pressure.CreditFor(pdu_pages, flows, cfg_.max_credit);
       });
     }
-    f->backoff.policy.initial = cfg.park_initial;
+    f->backoff.policy.initial = kParkInitial;
     f->backoff.policy.multiplier = 2;
-    f->backoff.policy.cap = cfg.park_cap;
+    f->backoff.policy.cap = kParkCap;
     f->backoff.stall_horizon = cfg.stall_horizon;
     flows_.push_back(std::move(f));
   }
@@ -187,7 +206,7 @@ Status IncastWorld::AckChannel::Push(Message m) {
     return st;
   }
   Machine& mach = *stack_->machine();
-  const SimTime arrival = mach.clock().Now() + world_->cfg_.ack_delay_ns;
+  const SimTime arrival = mach.clock().Now() + kAckDelayNs;
   world_->loop.Schedule(
       std::max(world_->loop.Now(), arrival), "incast-ack",
       [this, m, arrival] {

@@ -70,28 +70,11 @@ struct IncastWorldConfig {
   // near-full switch queues ≈ 45 ms at the default line rate and queue
   // depth), so a timeout means a drop, not patience running out.
   SimTime rto = 80 * kMillisecond;
-  // Reverse-path (ack) latency; acks are tiny and never contend.
-  SimTime ack_delay_ns = 20 * kMicrosecond;
-  // Producer re-try pace when the window/credits close. Much shorter than
-  // the RTO: acks arrive at RTT timescales (queueing + ack_delay), and a
-  // producer that napped a whole RTO would quantize every transport's
-  // goodput to window-per-RTO bursts, hiding the congestion dynamics this
-  // world exists to show. The cap is RTT-scale too, for the same reason.
-  SimTime park_initial = 250 * kMicrosecond;
-  SimTime park_cap = 4 * kMillisecond;
 
   // Per-VCI ECN marking threshold at both switch tiers; 0 disables (the
   // fixed-window and credit configurations run drop-only fabrics).
   std::size_t ecn_threshold_pdus = 0;
   std::size_t switch_queue_pdus = 32;
-  // OC-3 line rates. The fabric must be the bottleneck for congestion to
-  // exist: all domains share one host CPU (one clock), which can source
-  // roughly one PDU per ~0.6 ms of protocol + crossing work, so the line
-  // rate sits well below that packet rate at the 32 KB PDU the benches use.
-  // (At the paper's 516 Mbps a 32 KB PDU serializes in 0.5 ms — the CPU,
-  // not the wire, would saturate first, and no queue would ever build.)
-  double uplink_mbps = 155.0;  // sender NIC wire and ToR uplink line rate
-  double core_mbps = 155.0;    // core downlink to the receiver: the bottleneck
 
   std::uint32_t phys_frames = 16384;
   std::uint64_t seed = 0x1ca5;
@@ -100,7 +83,6 @@ struct IncastWorldConfig {
   // services other flows' duplicates). True wedges still surface — the
   // loop quiesces and the bench's drain check fails.
   SimTime stall_horizon = 10000 * kMillisecond;
-  PressureConfig pressure;
 };
 
 class IncastWorld {

@@ -95,9 +95,10 @@ std::uint64_t PressureManager::Sweep(std::uint64_t target_free) {
   }
 
   // Stage 4 — destroy the free lists of idle cached paths, releasing region
-  // space and chunk quota (the most expensive: those paths restart cold).
+  // space and chunk quota (the most expensive: those paths restart cold). A
+  // path that has not served an allocation for 10 ms counts as idle.
   if (FreeFrames() < target_free) {
-    fsys_->ShrinkIdlePaths(config_.path_idle_ns);
+    fsys_->ShrinkIdlePaths(10 * kMillisecond);
   }
 
   in_sweep_ = false;

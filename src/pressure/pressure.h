@@ -48,9 +48,6 @@ struct PressureConfig {
   std::uint64_t high_free_frames = 128;
   // The sweep never shrinks an attached FileCache below this many blocks.
   std::uint64_t cache_floor_blocks = 8;
-  // A cached path allocator that has not served an allocation for this long
-  // counts as idle and loses its free lists in the sweep's last stage.
-  SimTime path_idle_ns = 10 * kMillisecond;
   // Consecutive allocation failures on a path before it degrades to copy.
   std::uint32_t degrade_after_failures = 3;
   // A retransmit-pinned fbuf this old counts as cold: its retransmission has

@@ -22,10 +22,11 @@ ServeWorld::ServeWorld(const ServeWorldConfig& config)
     SimHost* raw = cl.get();
     const NodeId n = topo_.AddHost(std::move(cl));
     client_nodes_.push_back(n);
+    // Each client's access link runs at the TAXI rate.
     client_links_.push_back(topo_.AddLink(server_node_, n,
                                           &raw->machine.costs(),
                                           "wire/" + std::to_string(i),
-                                          cfg_.client_link_mbps));
+                                          /*mbps=*/155.0));
     client_routes_.push_back(
         Route{server_node_, n, cfg_.base_vci + static_cast<std::uint32_t>(i),
               {Hop{client_links_.back(), kNoNode}}});
@@ -56,7 +57,7 @@ ServeWorld::ServeWorld(const ServeWorldConfig& config)
   request_path_ = server->fsys.paths().Register(req_hops);
 
   if (cfg_.attach_pressure) {
-    pressure_ = std::make_unique<PressureManager>(&server->fsys, cfg_.pressure);
+    pressure_ = std::make_unique<PressureManager>(&server->fsys, PressureConfig{});
     pressure_->AttachEventLoop(&loop_);
     pressure_->AttachFileCache(cache_.get());
     // Degraded staging path: the app domain down to the kernel, the same
@@ -162,7 +163,6 @@ void ServeWorld::Issue(const ServeRequestSpec& spec) {
   Pending p;
   p.spec = spec;
   p.issue_at = loop_.Now();
-  p.backoff.policy = cfg_.backoff;
   p.backoff.stall_horizon = cfg_.stall_horizon;
   p.backoff.last_progress = loop_.Now();
   if (latency_enabled_) {
@@ -222,7 +222,7 @@ void ServeWorld::DeliverRequest(std::uint64_t id) {
       ParkRetry(id, "reqpark/" + std::to_string(id),
                 [this, id] { DeliverRequest(id); });
     } else {
-      FailRequest(id, st);
+      FailRequest(id);
     }
     return;
   }
@@ -258,7 +258,7 @@ void ServeWorld::OnServed(const FileServer::Served& served) {
         DeliverRequest(id);
       });
     } else {
-      FailRequest(served.request_id, served.status);
+      FailRequest(served.request_id);
     }
     return;
   }
@@ -367,7 +367,7 @@ void ServeWorld::DeliverPduEvent(std::uint64_t id,
     }
     // Hard failure — typically the client's app domain died mid-download.
     // The flow fails; its pins come back via the abort notice.
-    FailRequest(id, st);
+    FailRequest(id);
     return;
   }
   p.backoff.Progress(loop_.Now());
@@ -413,8 +413,7 @@ void ServeWorld::FinishRequest(std::uint64_t id) {
   IssueFromQueue();
 }
 
-void ServeWorld::FailRequest(std::uint64_t id, Status st) {
-  (void)st;
+void ServeWorld::FailRequest(std::uint64_t id) {
   auto it = pending_.find(id);
   if (it == pending_.end()) {
     return;
@@ -466,7 +465,7 @@ void ServeWorld::ParkRetry(std::uint64_t id, const std::string& label,
   if (!delay.has_value()) {
     // No progress for the whole horizon: the watchdog gives up so the run
     // drains and the §3.3 invariants can be audited over what remains.
-    FailRequest(id, Status::kExhausted);
+    FailRequest(id);
     return;
   }
   stats_.parks++;

@@ -85,7 +85,10 @@ SimHost::SimHost(const SimHostConfig& cfg, HostRole host_role,
       AppendHop(&data_hops, kernel->id());
     }
   }
-  const bool side_cached = is_sender ? config.sender_cached : config.cached;
+  // The sender's allocator is always path-cached, even in the Figure 6
+  // configuration: per the paper's footnote 5, uncached fbufs cost extra
+  // only in the receiving host.
+  const bool side_cached = is_sender || config.cached;
   PathId data_path = kNoPath;
   PathId udp_hdr_path = kNoPath;
   PathId ip_hdr_path = kNoPath;

@@ -13,7 +13,7 @@
 //                 cross-domain forwarding claim for real.
 //
 // Arbitrary topologies (src/topo/topology.h) instantiate these hosts; the
-// Testbed's two-host null modem is the trivial client.
+// paper's two-host null modem is BuildTopology's kDirect shape.
 #ifndef SRC_TOPO_SIM_HOST_H_
 #define SRC_TOPO_SIM_HOST_H_
 
@@ -53,9 +53,6 @@ struct SimHostConfig {
   // fbufs cost only in the transmitting host (the receiver's originator is
   // the trusted kernel).
   bool volatile_fbufs = true;
-  // Sender-side allocator caching (kept on even in the Figure 6
-  // configuration; turn off to study a fully uncached sender).
-  bool sender_cached = true;
   bool integrated = true;
   MachineConfig machine;  // cost model for all hosts
 };

@@ -8,7 +8,7 @@ namespace fbufs {
 namespace {
 
 // The receiver is always built first so its machine is the cost-model
-// reference for link timing (matching the historical testbed).
+// reference for link timing.
 NodeId BuildReceiver(BuiltTopology* b, const TopologyConfig& cfg,
                      std::uint32_t vci, std::uint16_t port) {
   b->receiver_node = b->topo->AddHost(std::make_unique<SimHost>(

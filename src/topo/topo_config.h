@@ -4,7 +4,9 @@
 // deterministic event engine.
 //
 // Shapes:
-//   kDirect      — one sender, one link, one receiver (the paper's testbed);
+//   kDirect      — one sender, one link, one receiver: the paper's two
+//                  DecStations joined by a null modem, which fig5, fig6 and
+//                  cpu_load run;
 //   kStar        — K senders, each on its own link straight into the
 //                  receiver's adapter (fan-in contends at RX DMA / CPU);
 //   kFanInSwitch — K senders -> ATM switch -> one trunk -> receiver: all

@@ -41,21 +41,6 @@ void TopologyRunner::ScheduleSenderStep(std::size_t flow) {
                   });
 }
 
-void TopologyRunner::ParkFlow(std::size_t flow, FlowBackoff& backoff,
-                              const std::string& label, EventLoop::Handler retry) {
-  FlowRun& run = runs_[flow];
-  const auto delay = backoff.Park(loop_->Now());
-  if (!delay.has_value()) {
-    // No progress for the whole horizon: the watchdog gives up so the run
-    // drains and the §3.3 invariants can be audited over what remains.
-    run.stall_failed = true;
-    run.failed = true;
-    return;
-  }
-  run.parks++;
-  loop_->Schedule(Key(loop_->Now() + *delay), label, std::move(retry));
-}
-
 void TopologyRunner::SenderStep(std::size_t flow) {
   FlowRun& run = runs_[flow];
   if (run.failed || run.next >= run.total) {
@@ -87,19 +72,8 @@ void TopologyRunner::SenderStep(std::size_t flow) {
   const SimTime tx_before = tx_clock.Now();
   const Status st = tx.source->SendOne(run.traffic.bytes);
   if (!Ok(st)) {
-    if (backpressure_on_ && IsBackpressure(st)) {
-      // Pool/quota pressure: park and retry this same message instead of
-      // failing the flow — memory may free up (or the watchdog gives up).
-      ParkFlow(flow, run.tx_backoff,
-               "park/" + std::to_string(flow) + "/" + std::to_string(m),
-               [this, flow] { SenderStep(flow); });
-      return;
-    }
     run.failed = true;
     return;
-  }
-  if (backpressure_on_) {
-    run.tx_backoff.Progress(loop_->Now());
   }
   const SimTime tx_after = tx_clock.Now();
   tx.machine.cpu_lane(run.tx_cpu).RecordBusy(tx_before, tx_after);
@@ -172,7 +146,7 @@ void TopologyRunner::DeliverEvent(std::size_t flow, std::uint64_t msg,
     // The receiving CPU picks the PDU up no earlier than its DMA completion;
     // it may already be past that point serving another delivery.
     rx.machine.clock().AdvanceToAtLeast(rx_dma_done);
-    Receive(flow, msg, std::move(payload), rx_dma_done);
+    Receive(flow, msg, std::move(payload));
     return;
   }
   assert(rx.dispatcher != nullptr && "multicore receiver without a dispatcher");
@@ -181,16 +155,15 @@ void TopologyRunner::DeliverEvent(std::size_t flow, std::uint64_t msg,
   rx.dispatcher->RunOnCpu(
       runs_[flow].rx_cpu, rx_dma_done,
       "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
-      [this, flow, msg, payload = std::move(payload), rx_dma_done]() mutable {
+      [this, flow, msg, payload = std::move(payload)]() mutable {
         if (!runs_[flow].failed) {
-          Receive(flow, msg, std::move(payload), rx_dma_done);
+          Receive(flow, msg, std::move(payload));
         }
       });
 }
 
 void TopologyRunner::Receive(std::size_t flow, std::uint64_t msg,
-                             std::vector<std::uint8_t> payload,
-                             SimTime rx_dma_done) {
+                             std::vector<std::uint8_t> payload) {
   FlowRun& run = runs_[flow];
   SimHost& rx = RxHost(flow);
   SimClock& clock = rx.machine.clock();  // the active lane: rx_cpu
@@ -198,21 +171,8 @@ void TopologyRunner::Receive(std::size_t flow, std::uint64_t msg,
   const Status st = rx.driver->DeliverPdu(payload, flows_[flow].legs.back().vci,
                                           rx.config.volatile_fbufs);
   if (!Ok(st)) {
-    if (backpressure_on_ && IsBackpressure(st)) {
-      // The receiver could not buffer the PDU (its pool/quota is the
-      // bottleneck): park the delivery and retry with the same payload.
-      ParkFlow(flow, run.rx_backoff,
-               "rxpark/" + std::to_string(flow) + "/" + std::to_string(msg),
-               [this, flow, msg, payload = std::move(payload), rx_dma_done]() mutable {
-                 DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
-               });
-      return;
-    }
     run.failed = true;
     return;
-  }
-  if (backpressure_on_) {
-    run.rx_backoff.Progress(loop_->Now());
   }
   const SimTime after = clock.Now();
   // A multicore lane's busy time is booked by its dispatch queue.
@@ -383,12 +343,6 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
       run.traffic = traffic[i];
     }
     run.total = run.traffic.warmup + run.traffic.messages;
-    if (backpressure_on_) {
-      run.tx_backoff.policy = bp_policy_;
-      run.tx_backoff.stall_horizon = bp_horizon_;
-      run.tx_backoff.last_progress = loop_->Now();
-      run.rx_backoff = run.tx_backoff;
-    }
     SimHost& tx = TxHost(i);
     SimHost& rxh = RxHost(i);
     // RSS steering: the flow's first-leg VCI picks its send lane, the last
@@ -431,8 +385,6 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
     fr.failed = run.failed;
     fr.completed_messages = run.completed;
     fr.stalled = !run.failed && run.total > 0 && run.completed < run.total;
-    fr.backpressure_parks = run.parks;
-    fr.stall_failed = run.stall_failed;
     mr.failed = mr.failed || run.failed;
     if (run.total == 0 || run.failed) {
       continue;
@@ -499,7 +451,7 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
     total_bytes += mr.flows[i].bytes;
     total_rx_busy += runs_[i].rx_busy;
   }
-  // Legacy single-flow semantics: the receiver's load over the same window
+  // Single-flow semantics: the receiver's load over the same window
   // the flow's throughput was computed over. With several flows the window
   // is the longest flow's.
   if (mr.elapsed_ns > 0) {

@@ -39,8 +39,7 @@ SwitchNode::Outcome SwitchNode::Forward(std::uint32_t vci, std::uint64_t bytes,
     return {arrival, true};
   }
   const SimTime serialize =
-      static_cast<SimTime>(static_cast<double>(bytes) * 8.0 * 1000.0 / p.cfg.mbps) +
-      p.cfg.per_pdu_ns;
+      static_cast<SimTime>(static_cast<double>(bytes) * 8.0 * 1000.0 / p.cfg.mbps);
   const SimTime done = p.line.Acquire(arrival, serialize);
   p.in_flight.push_back({done, vci});
   p.forwarded++;

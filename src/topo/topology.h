@@ -83,7 +83,6 @@ class TopoLink {
 struct SwitchPortConfig {
   double mbps = 516.0;          // output line rate
   std::size_t queue_pdus = 32;  // bounded output queue, in PDUs
-  SimTime per_pdu_ns = 0;       // fixed forwarding cost per PDU
 };
 
 // An output-queued ATM switch: per-VCI routing to an output port whose line

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 #include "src/sim/event_loop.h"
 #include "tests/test_util.h"
 
@@ -198,12 +198,12 @@ TEST(Resource, UtilizationInWindowTrimsOnlyTheOverhang) {
 }
 
 TEST(MultiFlow, ThreeVcisDeliverEverythingDeterministically) {
-  TestbedConfig cfg;
-  cfg.placement = StackPlacement::kUserKernel;
-  Testbed tb(cfg);
-  ASSERT_EQ(tb.AddFlow(43, 2001), 1u);
-  ASSERT_EQ(tb.AddFlow(44, 2002), 2u);
-  ASSERT_EQ(tb.flow_count(), 3u);
+  TopologyConfig cfg;
+  cfg.shape = TopologyShape::kStar;
+  cfg.senders = 3;
+  cfg.host.placement = StackPlacement::kUserKernel;
+  BuiltTopology b = BuildTopology(cfg);
+  ASSERT_EQ(b.runner->flow_count(), 3u);
 
   constexpr std::uint64_t kMessages = 8;
   constexpr std::uint64_t kBytes = 64 * 1024;
@@ -213,7 +213,7 @@ TEST(MultiFlow, ThreeVcisDeliverEverythingDeterministically) {
     t.bytes = kBytes;
     t.warmup = 2;
   }
-  const MultiResult mr = tb.RunFlows(traffic);
+  const MultiResult mr = b.runner->RunFlows(traffic);
   ASSERT_FALSE(mr.failed);
 
   double sum_mbps = 0;
@@ -221,8 +221,8 @@ TEST(MultiFlow, ThreeVcisDeliverEverythingDeterministically) {
     EXPECT_FALSE(mr.flows[i].failed) << "flow " << i;
     EXPECT_GT(mr.flows[i].throughput_mbps, 0.0) << "flow " << i;
     // Every message (warmup included) reached the flow's own sink intact.
-    EXPECT_EQ(tb.flow_sink(i).received(), kMessages + 2) << "flow " << i;
-    EXPECT_EQ(tb.flow_sink(i).bytes_received(), (kMessages + 2) * kBytes)
+    EXPECT_EQ(b.runner->flow_sink(i).received(), kMessages + 2) << "flow " << i;
+    EXPECT_EQ(b.runner->flow_sink(i).bytes_received(), (kMessages + 2) * kBytes)
         << "flow " << i;
     sum_mbps += mr.flows[i].throughput_mbps;
   }
@@ -230,40 +230,40 @@ TEST(MultiFlow, ThreeVcisDeliverEverythingDeterministically) {
   // cannot exceed the paper's ~285 Mbps I/O ceiling (DMA bound).
   EXPECT_LT(sum_mbps, 290.0);
 
-  // Per-resource utilization is reported: 3 sender CPUs + 3 TX DMAs + wire
-  // + RX DMA + receiver CPU, each within [0, 1].
-  ASSERT_EQ(mr.resources.size(), 9u);
-  bool saw_wire = false;
+  // Per-resource utilization is reported: 3 sender CPUs + 3 TX DMAs + 3
+  // wires + RX DMA + receiver CPU, each within [0, 1].
+  ASSERT_EQ(mr.resources.size(), 11u);
+  std::size_t wires = 0;
   for (const auto& r : mr.resources) {
     EXPECT_GE(r.utilization, 0.0) << r.name;
     EXPECT_LE(r.utilization, 1.0) << r.name;
-    if (r.name == "wire") {
-      saw_wire = true;
-      EXPECT_GT(r.busy_ns, 0u);
+    if (r.name == "wire/" + std::to_string(wires)) {
+      ++wires;
+      EXPECT_GT(r.busy_ns, 0u) << r.name;
     }
   }
-  EXPECT_TRUE(saw_wire);
+  EXPECT_EQ(wires, 3u);
 }
 
 TEST(MultiFlow, SameSeedRunsAreByteIdentical) {
   auto run = [](std::vector<EventLoop::TraceEntry>* trace, std::uint64_t* hash,
                 std::string* stats, MultiResult* mr) {
-    TestbedConfig cfg;
-    cfg.placement = StackPlacement::kUserKernel;
-    Testbed tb(cfg);
-    tb.AddFlow(43, 2001);
-    tb.AddFlow(44, 2002);
-    tb.loop().set_record_trace(true);
+    TopologyConfig cfg;
+    cfg.shape = TopologyShape::kStar;
+    cfg.senders = 3;
+    cfg.host.placement = StackPlacement::kUserKernel;
+    BuiltTopology b = BuildTopology(cfg);
+    b.loop->set_record_trace(true);
     std::vector<FlowTraffic> traffic(3);
     for (std::size_t i = 0; i < 3; ++i) {
       traffic[i].messages = 6;
       traffic[i].bytes = (i + 1) * 16 * 1024;  // asymmetric load
       traffic[i].warmup = 1;
     }
-    *mr = tb.RunFlows(traffic);
-    *trace = tb.loop().trace();
-    *hash = tb.loop().trace_hash();
-    *stats = tb.receiver().machine.stats().ToString();
+    *mr = b.runner->RunFlows(traffic);
+    *trace = b.loop->trace();
+    *hash = b.loop->trace_hash();
+    *stats = b.topo->host(b.receiver_node)->machine.stats().ToString();
   };
 
   std::vector<EventLoop::TraceEntry> trace_a, trace_b;
@@ -287,15 +287,15 @@ TEST(MultiFlow, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(mr_a.elapsed_ns, mr_b.elapsed_ns);
 }
 
-TEST(MultiFlow, LegacySingleFlowRunStillWorks) {
-  TestbedConfig cfg;
-  cfg.placement = StackPlacement::kUserKernel;
-  Testbed tb(cfg);
-  const Testbed::Result r = tb.Run(8, 32 * 1024, /*warmup=*/2);
-  EXPECT_GT(r.throughput_mbps, 0.0);
-  EXPECT_GT(r.sender_cpu_load, 0.0);
+TEST(MultiFlow, SingleFlowOnDirectTopology) {
+  TopologyConfig cfg;
+  cfg.host.placement = StackPlacement::kUserKernel;
+  BuiltTopology b = BuildTopology(cfg);
+  const MultiResult r = b.runner->RunFlows({{8, 32 * 1024, /*warmup=*/2}});
+  EXPECT_GT(r.flows[0].throughput_mbps, 0.0);
+  EXPECT_GT(r.flows[0].sender_cpu_load, 0.0);
   EXPECT_GT(r.receiver_cpu_load, 0.0);
-  EXPECT_EQ(tb.receiver().sink->received(), 10u);
+  EXPECT_EQ(b.topo->host(b.receiver_node)->sink->received(), 10u);
 }
 
 TEST(FbufSystemEvented, ThresholdFlushBecomesAScheduledEvent) {

@@ -7,7 +7,7 @@
 #include "src/fbuf/endpoint.h"
 #include "src/msg/hbio.h"
 #include "src/msg/stored_message.h"
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 #include "src/proto/loopback_stack.h"
 #include "src/proto/swp.h"
 #include "tests/test_util.h"
@@ -171,15 +171,16 @@ TEST(Integration, SwpOverHbioStyleDomains) {
 }
 
 TEST(Integration, TestbedSurvivesTinyWindowAndOddSizes) {
-  TestbedConfig cfg;
-  cfg.placement = StackPlacement::kUserNetserverKernel;
+  TopologyConfig cfg;
+  cfg.host.placement = StackPlacement::kUserNetserverKernel;
   cfg.window = 1;
-  cfg.pdu_size = 3000;  // deliberately unaligned PDU
-  Testbed tb(cfg);
-  const auto r = tb.Run(5, 10001);
-  EXPECT_GT(r.throughput_mbps, 0.0);
-  EXPECT_EQ(tb.receiver().sink->received(), 5u);
-  EXPECT_EQ(tb.receiver().sink->bytes_received(), 5u * 10001);
+  cfg.host.pdu_size = 3000;  // deliberately unaligned PDU
+  BuiltTopology b = BuildTopology(cfg);
+  const MultiResult r = b.runner->RunFlows({{5, 10001}});
+  EXPECT_GT(r.flows[0].throughput_mbps, 0.0);
+  SinkProtocol& sink = *b.topo->host(b.receiver_node)->sink;
+  EXPECT_EQ(sink.received(), 5u);
+  EXPECT_EQ(sink.bytes_received(), 5u * 10001);
 }
 
 TEST(Integration, QuotaExhaustionRecoversAfterCrash) {

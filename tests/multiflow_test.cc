@@ -5,7 +5,7 @@
 
 #include <cstring>
 
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 namespace {
@@ -49,11 +49,12 @@ std::vector<std::uint8_t> MakePdu(std::uint16_t dst_port, std::uint32_t id,
 class MultiFlowTest : public ::testing::Test {
  protected:
   MultiFlowTest() {
-    TestbedConfig cfg;
-    cfg.placement = StackPlacement::kUserKernel;
-    cfg.machine.costs = CostParams::Zero();
-    tb_ = std::make_unique<Testbed>(cfg);
-    rx_ = &tb_->receiver();
+    TopologyConfig cfg;
+    cfg.host.placement = StackPlacement::kUserKernel;
+    cfg.host.machine.costs = CostParams::Zero();
+    vci_ = cfg.base_vci;
+    b_ = BuildTopology(cfg);
+    rx_ = b_.topo->host(b_.receiver_node);
     // A second application with its own port, path and VCI.
     app2_ = rx_->machine.CreateDomain("app2");
     sink2_ = std::make_unique<SinkProtocol>(app2_, rx_->stack.get());
@@ -62,7 +63,8 @@ class MultiFlowTest : public ::testing::Test {
     rx_->adapter.RegisterVci(77, path2_);
   }
 
-  std::unique_ptr<Testbed> tb_;
+  BuiltTopology b_;
+  std::uint32_t vci_ = 0;  // the testbed flow's own VCI
   SimHost* rx_ = nullptr;
   Domain* app2_ = nullptr;
   std::unique_ptr<SinkProtocol> sink2_;
@@ -71,7 +73,7 @@ class MultiFlowTest : public ::testing::Test {
 
 TEST_F(MultiFlowTest, TwoVcisDemuxToTwoSinks) {
   // Flow 1: the testbed's own VCI/port; flow 2: ours.
-  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 1000, 0xAA), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 1000, 0xAA), vci_, true),
             Status::kOk);
   ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2001, 2, 2000, 0xBB), 77, true), Status::kOk);
   EXPECT_EQ(rx_->sink->received(), 1u);
@@ -81,7 +83,7 @@ TEST_F(MultiFlowTest, TwoVcisDemuxToTwoSinks) {
 }
 
 TEST_F(MultiFlowTest, FlowsUseTheirOwnPathAllocators) {
-  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 500, 1), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 500, 1), vci_, true),
             Status::kOk);
   ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2001, 2, 500, 2), 77, true), Status::kOk);
   // Find the two reassembly fbufs: their path ids must differ and match the
@@ -148,13 +150,13 @@ TEST_F(MultiFlowTest, InterleavedFlowsKeepReassemblyApart) {
     return pdu;
   };
   const std::uint32_t first_len = UdpProtocol::kHeaderBytes + body;
-  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, 0, true, 1), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, 0, true, 1), vci_, true),
             Status::kOk);
   ASSERT_EQ(rx_->driver->DeliverPdu(frag(2001, 11, 0, true, 2), 77, true), Status::kOk);
   EXPECT_EQ(rx_->ip->reassembly_backlog(), 2u);
   ASSERT_EQ(rx_->driver->DeliverPdu(frag(2001, 11, first_len, false, 2), 77, true),
             Status::kOk);
-  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, first_len, false, 1), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, first_len, false, 1), vci_, true),
             Status::kOk);
   EXPECT_EQ(rx_->ip->reassembly_backlog(), 0u);
   EXPECT_EQ(rx_->sink->bytes_received(), 2 * body);

@@ -2,7 +2,7 @@
 // two-host end-to-end testbed (correctness and paper-shape properties).
 #include <gtest/gtest.h>
 
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 #include "tests/test_util.h"
 
 namespace fbufs {
@@ -64,57 +64,63 @@ TEST(Osiris, MruTouchKeepsHotVciAlive) {
   EXPECT_EQ(adapter.PathForVci(7), 70u);
 }
 
+// The paper's two-host testbed: BuildTopology's kDirect shape.
 class TestbedTest : public ::testing::Test {
  protected:
-  static TestbedConfig Cfg(StackPlacement p, bool cached = true, bool vol = true) {
-    TestbedConfig cfg;
-    cfg.placement = p;
-    cfg.cached = cached;
-    cfg.volatile_fbufs = vol;
+  static TopologyConfig Cfg(StackPlacement p, bool cached = true, bool vol = true) {
+    TopologyConfig cfg;
+    cfg.host.placement = p;
+    cfg.host.cached = cached;
+    cfg.host.volatile_fbufs = vol;
     return cfg;
   }
+  static double Mbps(BuiltTopology& b, std::uint64_t messages, std::uint64_t bytes) {
+    return b.runner->RunFlows({{messages, bytes}}).flows[0].throughput_mbps;
+  }
+  static SimHost& Sender(BuiltTopology& b) { return *b.topo->host(b.sender_nodes[0]); }
+  static SimHost& Receiver(BuiltTopology& b) { return *b.topo->host(b.receiver_node); }
 };
 
 TEST_F(TestbedTest, DeliversAllBytesKernelKernel) {
-  Testbed tb(Cfg(StackPlacement::kKernelOnly));
-  const auto r = tb.Run(4, 64 * 1024);
-  EXPECT_EQ(tb.receiver().sink->received(), 4u);
-  EXPECT_EQ(tb.receiver().sink->bytes_received(), 4u * 64 * 1024);
-  EXPECT_GT(r.throughput_mbps, 0.0);
+  BuiltTopology b = BuildTopology(Cfg(StackPlacement::kKernelOnly));
+  const double mbps = Mbps(b, 4, 64 * 1024);
+  EXPECT_EQ(Receiver(b).sink->received(), 4u);
+  EXPECT_EQ(Receiver(b).sink->bytes_received(), 4u * 64 * 1024);
+  EXPECT_GT(mbps, 0.0);
 }
 
 TEST_F(TestbedTest, DeliversAcrossAllPlacements) {
   for (const auto p : {StackPlacement::kKernelOnly, StackPlacement::kUserKernel,
                        StackPlacement::kUserNetserverKernel}) {
-    Testbed tb(Cfg(p));
-    const auto r = tb.Run(3, 256 * 1024);
-    EXPECT_EQ(tb.receiver().sink->received(), 3u) << static_cast<int>(p);
-    EXPECT_GT(r.throughput_mbps, 0.0);
+    BuiltTopology b = BuildTopology(Cfg(p));
+    const double mbps = Mbps(b, 3, 256 * 1024);
+    EXPECT_EQ(Receiver(b).sink->received(), 3u) << static_cast<int>(p);
+    EXPECT_GT(mbps, 0.0);
   }
 }
 
 TEST_F(TestbedTest, ThroughputIsIoBoundWithCachedFbufs) {
   // Figure 5: with cached/volatile fbufs large transfers hit the ~285 Mbps
   // I/O ceiling, and domain crossings barely matter at >= 256 KB.
-  Testbed kk(Cfg(StackPlacement::kKernelOnly));
-  const auto r_kk = kk.Run(8, 1 << 20);
-  EXPECT_GT(r_kk.throughput_mbps, 260.0);
-  EXPECT_LT(r_kk.throughput_mbps, 300.0);
+  BuiltTopology kk = BuildTopology(Cfg(StackPlacement::kKernelOnly));
+  const double mbps_kk = Mbps(kk, 8, 1 << 20);
+  EXPECT_GT(mbps_kk, 260.0);
+  EXPECT_LT(mbps_kk, 300.0);
 
-  Testbed uu(Cfg(StackPlacement::kUserKernel));
-  const auto r_uu = uu.Run(8, 1 << 20);
-  EXPECT_GT(r_uu.throughput_mbps, 0.9 * r_kk.throughput_mbps);
+  BuiltTopology uu = BuildTopology(Cfg(StackPlacement::kUserKernel));
+  EXPECT_GT(Mbps(uu, 8, 1 << 20), 0.9 * mbps_kk);
 }
 
 TEST_F(TestbedTest, UncachedCostsAreReceiverSideOnly_Fig6Shape) {
   // Figure 6: user-user with uncached fbufs degrades ~12%; adding the
   // netserver hop costs only marginally more because UDP never touches the
   // body, so its pages are never mapped into the netserver.
-  Testbed uu(Cfg(StackPlacement::kUserKernel, /*cached=*/false, /*vol=*/false));
-  const auto r_uu = uu.Run(8, 1 << 20);
-  Testbed un(Cfg(StackPlacement::kUserNetserverKernel, /*cached=*/false, /*vol=*/false));
-  const auto r_un = un.Run(8, 1 << 20);
-  EXPECT_GT(r_un.throughput_mbps, 0.85 * r_uu.throughput_mbps);
+  BuiltTopology uu =
+      BuildTopology(Cfg(StackPlacement::kUserKernel, /*cached=*/false, /*vol=*/false));
+  const double mbps_uu = Mbps(uu, 8, 1 << 20);
+  BuiltTopology un = BuildTopology(
+      Cfg(StackPlacement::kUserNetserverKernel, /*cached=*/false, /*vol=*/false));
+  EXPECT_GT(Mbps(un, 8, 1 << 20), 0.85 * mbps_uu);
   // And the netserver mapped almost nothing: page-table work there is tiny.
   // (Body pages: 256/message; mapped pages in netserver should be ~1 header
   //  page per ADU.)
@@ -123,77 +129,65 @@ TEST_F(TestbedTest, UncachedCostsAreReceiverSideOnly_Fig6Shape) {
 TEST_F(TestbedTest, CachedBeatsUncachedOnCpuLoad) {
   // §4: receiving 1 MB messages, cached fbufs leave CPU headroom while
   // uncached saturates.
-  Testbed cached(Cfg(StackPlacement::kUserKernel, true, true));
-  const auto r_c = cached.Run(8, 1 << 20);
-  Testbed uncached(Cfg(StackPlacement::kUserKernel, false, false));
-  const auto r_u = uncached.Run(8, 1 << 20);
+  BuiltTopology cached = BuildTopology(Cfg(StackPlacement::kUserKernel, true, true));
+  const MultiResult r_c = cached.runner->RunFlows({{8, 1 << 20}});
+  BuiltTopology uncached = BuildTopology(Cfg(StackPlacement::kUserKernel, false, false));
+  const MultiResult r_u = uncached.runner->RunFlows({{8, 1 << 20}});
   EXPECT_LT(r_c.receiver_cpu_load, 0.97);
   EXPECT_GT(r_u.receiver_cpu_load, r_c.receiver_cpu_load);
 }
 
 TEST_F(TestbedTest, WindowLimitsSenderRunahead) {
-  TestbedConfig cfg = Cfg(StackPlacement::kKernelOnly);
+  TopologyConfig cfg = Cfg(StackPlacement::kKernelOnly);
   cfg.window = 1;
-  Testbed tb(cfg);
-  const auto r1 = tb.Run(6, 64 * 1024);
-  TestbedConfig cfg8 = Cfg(StackPlacement::kKernelOnly);
+  BuiltTopology b1 = BuildTopology(cfg);
+  const double mbps1 = Mbps(b1, 6, 64 * 1024);
+  TopologyConfig cfg8 = Cfg(StackPlacement::kKernelOnly);
   cfg8.window = 8;
-  Testbed tb8(cfg8);
-  const auto r8 = tb8.Run(6, 64 * 1024);
+  BuiltTopology b8 = BuildTopology(cfg8);
   // Stop-and-wait cannot beat a deep window.
-  EXPECT_LE(r1.throughput_mbps, r8.throughput_mbps + 1e-9);
+  EXPECT_LE(mbps1, Mbps(b8, 6, 64 * 1024) + 1e-9);
 }
 
 TEST_F(TestbedTest, DataIntegrityEndToEnd) {
   // Bytes written by the sender application arrive intact in the receiver's
   // sink domain, across two machines and the simulated wire.
-  TestbedConfig cfg = Cfg(StackPlacement::kUserKernel);
-  cfg.machine.costs = CostParams::Zero();
-  Testbed tb(cfg);
+  TopologyConfig cfg = Cfg(StackPlacement::kUserKernel);
+  cfg.host.machine.costs = CostParams::Zero();
+  BuiltTopology b = BuildTopology(cfg);
+  SimHost& tx = Sender(b);
   // Hand-write a pattern through the sender's own path, mimicking SendOne.
-  Domain* app = tb.sender().source->domain();
+  Domain* app = tx.source->domain();
   Fbuf* fb = nullptr;
-  ASSERT_EQ(tb.sender().fsys.Allocate(*app, 0, 5000, true, &fb), Status::kOk);
+  ASSERT_EQ(tx.fsys.Allocate(*app, 0, 5000, true, &fb), Status::kOk);
   std::vector<std::uint8_t> pattern(5000);
   for (std::size_t i = 0; i < pattern.size(); ++i) {
     pattern[i] = static_cast<std::uint8_t>(i ^ (i >> 3));
   }
   ASSERT_EQ(app->WriteBytes(fb->base, pattern.data(), pattern.size()), Status::kOk);
-  ASSERT_EQ(tb.sender().stack->Deliver(Message::Whole(fb), tb.sender().source.get(),
-                                       tb.sender().udp.get(), true),
+  ASSERT_EQ(tx.stack->Deliver(Message::Whole(fb), tx.source.get(), tx.udp.get(), true),
             Status::kOk);
-  ASSERT_EQ(tb.sender().fsys.Free(fb, *app), Status::kOk);
-  // Drain the staged PDU through the receiver.
-  // (Run() isn't used here; push the PDUs manually.)
-  // The testbed staged them via the driver callback; drive a mini Run:
-  const auto r = tb.Run(0, 0);  // flush nothing; staged_ drained inside Run only
-  (void)r;
-  // Deliver staged PDUs by sending one real message through Run instead:
-  // verify via sink counters that the manual message arrived when we pump
-  // the staged queue — simplest: check the receiver got it during Deliver.
-  // DeliverPdu is invoked by Run, which we bypassed; pump manually:
-  // NOTE: the staged queue is private; use a zero-byte Run to flush is a
-  // no-op, so instead assert on what already happened: the sender driver
-  // transmitted the PDU into the callback which staged it. Pump by running
-  // one real (tiny) message; the staged queue drains FIFO so our pattern
-  // message is delivered first.
-  ASSERT_EQ(tb.Run(1, 64).throughput_mbps > 0, true);
-  EXPECT_EQ(tb.receiver().sink->received(), 2u);
-  EXPECT_EQ(tb.receiver().sink->bytes_received(), 5000u + 64u);
+  ASSERT_EQ(tx.fsys.Free(fb, *app), Status::kOk);
+  // The driver staged the hand-written PDU. The runner drains the staged
+  // queue FIFO with the next real send, so running one tiny message
+  // delivers the pattern message first.
+  ASSERT_GT(Mbps(b, 1, 64), 0.0);
+  EXPECT_EQ(Receiver(b).sink->received(), 2u);
+  EXPECT_EQ(Receiver(b).sink->bytes_received(), 5000u + 64u);
 }
 
 TEST_F(TestbedTest, NoLeaksAfterManyMessages) {
-  Testbed tb(Cfg(StackPlacement::kUserNetserverKernel));
-  ASSERT_GT(tb.Run(12, 200 * 1024).throughput_mbps, 0.0);
+  BuiltTopology b = BuildTopology(Cfg(StackPlacement::kUserNetserverKernel));
+  ASSERT_GT(Mbps(b, 12, 200 * 1024), 0.0);
   for (FbufId id = 0;; ++id) {
-    Fbuf* fb = tb.receiver().fsys.Get(id);
+    Fbuf* fb = Receiver(b).fsys.Get(id);
     if (fb == nullptr) {
       break;
     }
     EXPECT_TRUE(fb->holders.empty()) << "receiver fbuf " << id << " leaked";
   }
   for (FbufId id = 0;; ++id) {
-    Fbuf* fb = tb.sender().fsys.Get(id);
+    Fbuf* fb = Sender(b).fsys.Get(id);
     if (fb == nullptr) {
       break;
     }

@@ -8,7 +8,7 @@
 #include "src/obs/attribution.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_export.h"
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 #include "tests/test_util.h"
 
 namespace fbufs {
@@ -37,17 +37,18 @@ void ExpectConserved(Machine& m) {
 
 TEST(Attribution, ConservationHoldsOnCachedEndToEndRun) {
   // Figure-5 configuration: cached/volatile fbufs, user-user placement.
-  TestbedConfig cfg;
-  cfg.placement = StackPlacement::kUserKernel;
-  cfg.pdu_size = 16 * 1024;
-  cfg.cached = true;
-  cfg.volatile_fbufs = true;
-  Testbed tb(cfg);
-  tb.Run(16, 64 * 1024, /*warmup=*/2);
-  ExpectConserved(tb.sender().machine);
-  ExpectConserved(tb.receiver().machine);
+  TopologyConfig cfg;
+  cfg.host.placement = StackPlacement::kUserKernel;
+  cfg.host.pdu_size = 16 * 1024;
+  cfg.host.cached = true;
+  cfg.host.volatile_fbufs = true;
+  BuiltTopology b = BuildTopology(cfg);
+  ASSERT_FALSE(b.runner->RunFlows({{16, 64 * 1024, /*warmup=*/2}}).failed);
+  Machine& tx = b.topo->host(b.sender_nodes[0])->machine;
+  ExpectConserved(tx);
+  ExpectConserved(b.topo->host(b.receiver_node)->machine);
   // An end-to-end run exercises every major layer on the sender.
-  const Attribution& a = tb.sender().machine.attribution();
+  const Attribution& a = tx.attribution();
   EXPECT_GT(a.ByLayer(CostDomain::kProto), 0u);
   EXPECT_GT(a.ByLayer(CostDomain::kFbuf), 0u);
   EXPECT_GT(a.ByLayer(CostDomain::kVm), 0u);
@@ -58,17 +59,18 @@ TEST(Attribution, ConservationHoldsOnCachedEndToEndRun) {
 
 TEST(Attribution, ConservationHoldsOnUncachedEndToEndRun) {
   // Figure-6 configuration: uncached, non-volatile fbufs.
-  TestbedConfig cfg;
-  cfg.placement = StackPlacement::kUserKernel;
-  cfg.pdu_size = 16 * 1024;
-  cfg.cached = false;
-  cfg.volatile_fbufs = false;
-  Testbed tb(cfg);
-  tb.Run(16, 64 * 1024, /*warmup=*/2);
-  ExpectConserved(tb.sender().machine);
-  ExpectConserved(tb.receiver().machine);
-  EXPECT_EQ(tb.sender().machine.attribution().ByLayer(CostDomain::kOther), 0u);
-  EXPECT_EQ(tb.receiver().machine.attribution().ByLayer(CostDomain::kOther), 0u);
+  TopologyConfig cfg;
+  cfg.host.placement = StackPlacement::kUserKernel;
+  cfg.host.pdu_size = 16 * 1024;
+  cfg.host.cached = false;
+  cfg.host.volatile_fbufs = false;
+  BuiltTopology b = BuildTopology(cfg);
+  ASSERT_FALSE(b.runner->RunFlows({{16, 64 * 1024, /*warmup=*/2}}).failed);
+  for (NodeId n : {b.sender_nodes[0], b.receiver_node}) {
+    Machine& m = b.topo->host(n)->machine;
+    ExpectConserved(m);
+    EXPECT_EQ(m.attribution().ByLayer(CostDomain::kOther), 0u);
+  }
 }
 
 TEST(Attribution, ZeroCostWorldAttributesExactlyZero) {

@@ -5,7 +5,7 @@
 
 #include <tuple>
 
-#include "src/topo/testbed.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 namespace {
@@ -17,27 +17,28 @@ class TestbedSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(TestbedSweep, DeliversEverythingAndStaysSane) {
   const auto [placement, cached, vol, pdu, window] = GetParam();
-  TestbedConfig cfg;
-  cfg.placement = placement;
-  cfg.cached = cached;
-  cfg.volatile_fbufs = vol;
-  cfg.pdu_size = pdu;
+  TopologyConfig cfg;
+  cfg.host.placement = placement;
+  cfg.host.cached = cached;
+  cfg.host.volatile_fbufs = vol;
+  cfg.host.pdu_size = pdu;
   cfg.window = window;
-  Testbed tb(cfg);
+  BuiltTopology b = BuildTopology(cfg);
+  SimHost& rx = *b.topo->host(b.receiver_node);
   const std::uint64_t kMessages = 4;
   const std::uint64_t kBytes = 192 * 1024 + 77;  // unaligned on purpose
-  const auto r = tb.Run(kMessages, kBytes, /*warmup=*/1);
+  const MultiResult r = b.runner->RunFlows({{kMessages, kBytes, /*warmup=*/1}});
 
-  EXPECT_GT(r.throughput_mbps, 0.0);
-  EXPECT_LE(r.throughput_mbps, 530.0);  // can never beat the wire
-  EXPECT_EQ(tb.receiver().sink->received(), kMessages + 1);  // + warmup
-  EXPECT_EQ(tb.receiver().sink->bytes_received(), (kMessages + 1) * kBytes);
+  EXPECT_GT(r.flows[0].throughput_mbps, 0.0);
+  EXPECT_LE(r.flows[0].throughput_mbps, 530.0);  // can never beat the wire
+  EXPECT_EQ(rx.sink->received(), kMessages + 1);  // + warmup
+  EXPECT_EQ(rx.sink->bytes_received(), (kMessages + 1) * kBytes);
   EXPECT_GE(r.receiver_cpu_load, 0.0);
   EXPECT_LE(r.receiver_cpu_load, 1.0 + 1e-9);
-  EXPECT_LE(r.sender_cpu_load, 1.0 + 1e-9);
-  EXPECT_EQ(tb.receiver().ip->reassembly_backlog(), 0u);
+  EXPECT_LE(r.flows[0].sender_cpu_load, 1.0 + 1e-9);
+  EXPECT_EQ(rx.ip->reassembly_backlog(), 0u);
   // No stranded references on either host.
-  for (SimHost* h : {&tb.sender(), &tb.receiver()}) {
+  for (SimHost* h : {b.topo->host(b.sender_nodes[0]), &rx}) {
     for (FbufId id = 0;; ++id) {
       Fbuf* fb = h->fsys.Get(id);
       if (fb == nullptr) {
@@ -61,16 +62,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TestbedOrdering, CachedNeverSlowerThanUncached) {
   for (const auto placement :
        {StackPlacement::kUserKernel, StackPlacement::kUserNetserverKernel}) {
-    TestbedConfig c;
-    c.placement = placement;
-    c.cached = true;
-    c.volatile_fbufs = true;
-    TestbedConfig u = c;
-    u.cached = false;
-    u.volatile_fbufs = false;
-    Testbed tc(c), tu(u);
-    const double cached = tc.Run(6, 1 << 20, 1).throughput_mbps;
-    const double uncached = tu.Run(6, 1 << 20, 1).throughput_mbps;
+    TopologyConfig c;
+    c.host.placement = placement;
+    c.host.cached = true;
+    c.host.volatile_fbufs = true;
+    TopologyConfig u = c;
+    u.host.cached = false;
+    u.host.volatile_fbufs = false;
+    BuiltTopology tc = BuildTopology(c), tu = BuildTopology(u);
+    const double cached = tc.runner->RunFlows({{6, 1 << 20, 1}}).flows[0].throughput_mbps;
+    const double uncached = tu.runner->RunFlows({{6, 1 << 20, 1}}).flows[0].throughput_mbps;
     EXPECT_GE(cached, uncached) << static_cast<int>(placement);
   }
 }
@@ -80,10 +81,10 @@ TEST(TestbedOrdering, MoreDomainsNeverFaster) {
     double prev = 1e18;
     for (const auto placement : {StackPlacement::kKernelOnly, StackPlacement::kUserKernel,
                                  StackPlacement::kUserNetserverKernel}) {
-      TestbedConfig cfg;
-      cfg.placement = placement;
-      Testbed tb(cfg);
-      const double mbps = tb.Run(6, kb * 1024, 1).throughput_mbps;
+      TopologyConfig cfg;
+      cfg.host.placement = placement;
+      BuiltTopology b = BuildTopology(cfg);
+      const double mbps = b.runner->RunFlows({{6, kb * 1024, 1}}).flows[0].throughput_mbps;
       EXPECT_LE(mbps, prev * 1.02) << kb << " KB, placement " << static_cast<int>(placement);
       prev = mbps;
     }
@@ -91,13 +92,13 @@ TEST(TestbedOrdering, MoreDomainsNeverFaster) {
 }
 
 TEST(TestbedOrdering, BiggerPduLowersCpuLoad) {
-  TestbedConfig a;
-  a.pdu_size = 16 * 1024;
-  TestbedConfig b;
-  b.pdu_size = 32 * 1024;
-  Testbed ta(a), tb(b);
-  const auto ra = ta.Run(6, 1 << 20, 1);
-  const auto rb = tb.Run(6, 1 << 20, 1);
+  TopologyConfig a;
+  a.host.pdu_size = 16 * 1024;
+  TopologyConfig b;
+  b.host.pdu_size = 32 * 1024;
+  BuiltTopology ta = BuildTopology(a), tb = BuildTopology(b);
+  const MultiResult ra = ta.runner->RunFlows({{6, 1 << 20, 1}});
+  const MultiResult rb = tb.runner->RunFlows({{6, 1 << 20, 1}});
   EXPECT_LT(rb.receiver_cpu_load, ra.receiver_cpu_load);
 }
 
