@@ -7,16 +7,15 @@
 // Retransmission is driven by the discrete-event engine: every transmit
 // arms a real 2 ms retransmission timeout on the EventLoop, and a producer
 // event keeps the window full. Quiescence of the loop is the end of the
-// experiment.
+// experiment. The world (machine, paths, SWP pair, lossy channels) is
+// SwpWorld's; the producer here retries after a constant RTO rather than
+// SwpWorld's capped-exponential backoff.
 #include <cstdio>
 #include <functional>
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "src/proto/swp.h"
-#include "src/proto/test_protocols.h"
-#include "src/sim/event_loop.h"
-#include "src/vm/machine.h"
+#include "src/fault/swp_world.h"
 
 namespace fbufs {
 namespace bench {
@@ -33,31 +32,11 @@ struct RunResult {
 
 RunResult Run(std::uint32_t drop_percent, std::string* attr_json = nullptr,
               std::string* metrics_json = nullptr) {
-  Machine machine{MachineConfig{}};
-  FbufSystem fsys(&machine);
-  Rpc rpc(&machine);
-  fsys.AttachRpc(&rpc);
-  ProtocolStack stack(&machine, &fsys, &rpc);
-  stack.set_domain_count(2);
-  Domain* sd = machine.CreateDomain("sender");
-  Domain* rd = machine.CreateDomain("receiver");
-  const PathId tx_hdr = fsys.paths().Register({sd->id(), rd->id()});
-  const PathId rx_hdr = fsys.paths().Register({rd->id(), sd->id()});
-  const PathId data = fsys.paths().Register({sd->id(), rd->id()});
-  SwpProtocol sender(sd, &stack, tx_hdr, 8);
-  SwpProtocol receiver(rd, &stack, rx_hdr, 8);
-  LossyChannel fwd(sd, &stack, 11, drop_percent);
-  LossyChannel rev(rd, &stack, 13, drop_percent);
-  SinkProtocol sink(rd, &stack);
-  sender.set_below(&fwd);
-  fwd.set_peer_above(&receiver);
-  receiver.set_below(&rev);
-  rev.set_peer_above(&sender);
-  receiver.set_above(&sink);
-
-  EventLoop loop;
-  sender.AttachTimer(&loop, kRto);
-  fsys.AttachEventLoop(&loop);
+  SwpWorld w(SwpWorldConfig{.rto = kRto, .fwd_loss = drop_percent, .rev_loss = drop_percent});
+  Machine& machine = w.machine;
+  FbufSystem& fsys = w.fsys;
+  Domain* sd = w.sender_domain;
+  EventLoop& loop = w.loop;
   MetricsRegistry metrics;
   machine.AttachMetrics(&metrics);
 
@@ -72,11 +51,11 @@ RunResult Run(std::uint32_t drop_percent, std::string* attr_json = nullptr,
   std::function<void()> produce = [&] {
     while (accepted < kMessages) {
       Fbuf* fb = nullptr;
-      if (!Ok(fsys.Allocate(*sd, data, kBytes, true, &fb))) {
+      if (!Ok(fsys.Allocate(*sd, w.data, kBytes, true, &fb))) {
         return;
       }
       sd->TouchRange(fb->base, kBytes, Access::kWrite);
-      const Status st = sender.Push(Message::Whole(fb));
+      const Status st = w.sender.Push(Message::Whole(fb));
       fsys.Free(fb, *sd);
       if (st == Status::kOk) {
         accepted++;
@@ -99,9 +78,9 @@ RunResult Run(std::uint32_t drop_percent, std::string* attr_json = nullptr,
     *metrics_json = metrics.ToJson();
   }
   machine.AttachMetrics(nullptr);
-  return RunResult{sink.bytes_received() * 8.0 / seconds / 1e6,
-                   static_cast<double>(sender.retransmissions()) / kMessages,
-                   sender.timer_fires(), machine.stats().bytes_copied};
+  return RunResult{w.sink.bytes_received() * 8.0 / seconds / 1e6,
+                   static_cast<double>(w.sender.retransmissions()) / kMessages,
+                   w.sender.timer_fires(), machine.stats().bytes_copied};
 }
 
 int Main() {

@@ -31,38 +31,10 @@ FbufSystem::Allocator& FbufSystem::GetAllocator(DomainId domain, PathId path, bo
     a.domain = domain;
     a.path = path;
     a.cached = cached;
+    a.free_lists.resize(machine_->num_cpus());
     it = allocators_.emplace(key, std::move(a)).first;
   }
   return it->second;
-}
-
-std::map<std::uint64_t, std::vector<FbufId>>& FbufSystem::CpuFreeLists(Allocator& a) {
-  if (a.cpu_free_lists.size() < machine_->num_cpus()) {
-    a.cpu_free_lists.resize(machine_->num_cpus());
-  }
-  return a.cpu_free_lists[machine_->active_cpu()];
-}
-
-std::vector<std::map<std::uint64_t, std::vector<FbufId>>*> FbufSystem::AllFreeListMaps(
-    Allocator& a) {
-  std::vector<std::map<std::uint64_t, std::vector<FbufId>>*> maps;
-  maps.reserve(1 + a.cpu_free_lists.size());
-  maps.push_back(&a.free_lists);
-  for (auto& m : a.cpu_free_lists) {
-    maps.push_back(&m);
-  }
-  return maps;
-}
-
-std::vector<const std::map<std::uint64_t, std::vector<FbufId>>*> FbufSystem::AllFreeListMaps(
-    const Allocator& a) {
-  std::vector<const std::map<std::uint64_t, std::vector<FbufId>>*> maps;
-  maps.reserve(1 + a.cpu_free_lists.size());
-  maps.push_back(&a.free_lists);
-  for (const auto& m : a.cpu_free_lists) {
-    maps.push_back(&m);
-  }
-  return maps;
 }
 
 Status FbufSystem::GrowAllocator(Allocator& a, std::uint64_t pages) {
@@ -140,22 +112,14 @@ Status FbufSystem::AllocateInternal(Domain& originator, PathId path, std::uint64
     return Status::kInvalidArgument;
   }
 
-  // Fast path: reuse a cached fbuf of the right size. LIFO order keeps the
-  // warmest (most likely memory-resident) fbuf on top; the FIFO ablation
-  // takes from the cold end instead. On a multicore machine the allocating
-  // lane's own cache is tried first (warm for this CPU), falling back to the
-  // shared lists before carving.
+  // Fast path: reuse a cached fbuf of the right size from the allocating
+  // lane's own lists (warm for this CPU); otherwise carve. LIFO order keeps
+  // the warmest (most likely memory-resident) fbuf on top; the FIFO
+  // ablation takes from the cold end instead.
   if (cached) {
-    std::map<std::uint64_t, std::vector<FbufId>>* lists = &a.free_lists;
-    if (machine_->num_cpus() > 1) {
-      auto& mine = CpuFreeLists(a);
-      auto cit = mine.find(pages);
-      if (cit != mine.end() && !cit->second.empty()) {
-        lists = &mine;
-      }
-    }
-    auto it = lists->find(pages);
-    if (it != lists->end() && !it->second.empty()) {
+    FreeLists& lists = a.free_lists[machine_->active_cpu()];
+    auto it = lists.find(pages);
+    if (it != lists.end() && !it->second.empty()) {
       FbufId reuse_id;
       if (config_.lifo_free_lists) {
         reuse_id = it->second.back();
@@ -287,33 +251,30 @@ Status FbufSystem::ChargeQuota(Domain& d, std::uint64_t pages) {
 std::uint64_t FbufSystem::ShrinkDomainFreeLists(DomainId d, std::uint64_t pages_needed) {
   std::uint64_t released = 0;
   for (auto& [key, a] : allocators_) {
-    if (a.domain != d) {
-      continue;
+    if (released >= pages_needed) {
+      break;
     }
-    for (auto* lists : AllFreeListMaps(a)) {
-      for (auto& [pages, list] : *lists) {
-        // Coldest first: the front of each list is the least recently freed.
-        while (!list.empty() && released < pages_needed) {
-          const FbufId id = list.front();
-          list.erase(list.begin());
-          Fbuf* fb = fbufs_[id].get();
-          if (fb->dead || !fb->free_listed) {
-            continue;
-          }
-          fb->free_listed = false;
+    if (a.domain == d) {
+      released += DestroyFreeListed(a, pages_needed - released);
+    }
+  }
+  return released;
+}
+
+std::uint64_t FbufSystem::DestroyFreeListed(Allocator& a, std::uint64_t max_pages) {
+  std::uint64_t released = 0;
+  for (FreeLists& lists : a.free_lists) {
+    for (auto& [pages, list] : lists) {
+      // Coldest first: the front of each list is the least recently freed.
+      auto it = list.begin();
+      for (; it != list.end() && released < max_pages; ++it) {
+        Fbuf* fb = fbufs_[*it].get();
+        if (!fb->dead && fb->free_listed) {
           released += fb->pages;
           DestroyFbuf(fb);
         }
-        if (released >= pages_needed) {
-          break;
-        }
       }
-      if (released >= pages_needed) {
-        break;
-      }
-    }
-    if (released >= pages_needed) {
-      break;
+      list.erase(list.begin(), it);
     }
   }
   return released;
@@ -323,34 +284,18 @@ std::uint64_t FbufSystem::ShrinkIdlePaths(SimTime idle_ns) {
   const SimTime now = machine_->clock().Now();
   std::uint64_t released = 0;
   for (auto& [key, a] : allocators_) {
-    if (!a.cached || a.defunct || now - a.last_alloc < idle_ns) {
+    // On a multicore machine the sweeping lane's clock may trail the lane
+    // that last allocated: such a path was used in this lane's future, so it
+    // is not idle (and the unsigned difference would wrap).
+    if (!a.cached || a.defunct || now < a.last_alloc || now - a.last_alloc < idle_ns) {
       continue;
     }
-    for (auto* lists : AllFreeListMaps(a)) {
-      for (auto& [pages, list] : *lists) {
-        while (!list.empty()) {
-          const FbufId id = list.front();
-          list.erase(list.begin());
-          Fbuf* fb = fbufs_[id].get();
-          if (fb->dead || !fb->free_listed) {
-            continue;
-          }
-          fb->free_listed = false;
-          released += fb->pages;
-          DestroyFbuf(fb);
-        }
-      }
-    }
+    released += DestroyFreeListed(a);
     // Fully drained: give the chunks back to the region. The allocator stays
     // live (unlike a defunct one) — the path restarts cold, growing fresh
     // chunks on its next allocation.
-    if (a.outstanding == 0 && !a.chunk_ranges.empty()) {
-      for (const auto& [base, pages] : a.chunk_ranges) {
-        region_va_.Free(base, pages);
-      }
-      a.chunk_ranges.clear();
-      a.chunks = 0;
-      a.va = AddressSpace(AddressSpace::Empty{});
+    if (a.outstanding == 0) {
+      ReleaseChunks(a);
     }
   }
   return released;
@@ -661,12 +606,8 @@ void FbufSystem::ReturnToOwner(Fbuf* fb) {
   const bool path_alive = fb->path == kNoPath || (path != nullptr && path->alive);
   if (fb->cached && !a.defunct && path_alive) {
     fb->free_listed = true;
-    if (machine_->num_cpus() > 1) {
-      // The freeing lane keeps the fbuf in its own cache (it is warm there).
-      CpuFreeLists(a)[fb->pages].push_back(fb->id);
-    } else {
-      a.free_lists[fb->pages].push_back(fb->id);
-    }
+    // The freeing lane keeps the fbuf on its own lists (it is warm there).
+    a.free_lists[machine_->active_cpu()][fb->pages].push_back(fb->id);
     return;
   }
   DestroyFbuf(fb);
@@ -703,14 +644,18 @@ void FbufSystem::DestroyFbuf(Fbuf* fb) {
 }
 
 void FbufSystem::ReleaseAllocatorIfDrained(Allocator& a) {
-  if (!a.defunct || a.outstanding != 0) {
-    return;
+  if (a.defunct && a.outstanding == 0) {
+    ReleaseChunks(a);
   }
+}
+
+void FbufSystem::ReleaseChunks(Allocator& a) {
   for (const auto& [base, pages] : a.chunk_ranges) {
     region_va_.Free(base, pages);
   }
   a.chunk_ranges.clear();
   a.chunks = 0;
+  a.va = AddressSpace(AddressSpace::Empty{});
 }
 
 std::uint64_t FbufSystem::ReclaimFreeMemory(std::uint64_t max_pages) {
@@ -719,8 +664,8 @@ std::uint64_t FbufSystem::ReclaimFreeMemory(std::uint64_t max_pages) {
   // list is the least recently freed fbuf.
   std::vector<Fbuf*> victims;
   for (auto& [key, a] : allocators_) {
-    for (auto* lists : AllFreeListMaps(a)) {
-      for (auto& [pages, list] : *lists) {
+    for (const FreeLists& lists : a.free_lists) {
+      for (const auto& [pages, list] : lists) {
         for (FbufId id : list) {
           victims.push_back(fbufs_[id].get());
         }
@@ -775,25 +720,14 @@ std::uint64_t FbufSystem::ReclaimFreeMemory(std::uint64_t max_pages) {
 
 void FbufSystem::DestroyPath(PathId path) {
   paths_.MarkDead(path);
-  for (auto& fbp : fbufs_) {
-    Fbuf* fb = fbp.get();
-    if (fb->path != path || fb->dead) {
-      continue;
-    }
-    if (fb->free_listed) {
-      fb->free_listed = false;
-      DestroyFbuf(fb);
-    }
-    // In-flight fbufs are destroyed when their last reference drains
-    // (ReturnToOwner sees the dead path).
-  }
-  // The path's allocators can never serve again (allocation falls back to
-  // the default allocator): mark them defunct so their chunks return to the
-  // region once the last fbuf drains.
+  // Free-listed fbufs die now; in-flight ones are destroyed when their last
+  // reference drains (ReturnToOwner sees the dead path). The path's
+  // allocators can never serve again (allocation falls back to the default
+  // allocator): mark them defunct so their chunks return to the region once
+  // the last fbuf drains.
   for (auto& [key, a] : allocators_) {
     if (a.path == path) {
-      a.free_lists.clear();
-      a.cpu_free_lists.clear();
+      DestroyFreeListed(a);
       a.defunct = true;
       ReleaseAllocatorIfDrained(a);
     }
@@ -814,19 +748,7 @@ void FbufSystem::OnDomainTerminated(Domain& d) {
     if (a.domain == d.id()) {
       a.defunct = true;
       // Free-listed fbufs of defunct allocators are destroyed now.
-      for (auto* lists : AllFreeListMaps(a)) {
-        for (auto& [pages, list] : *lists) {
-          for (FbufId id : list) {
-            Fbuf* fb = fbufs_[id].get();
-            if (!fb->dead && fb->free_listed) {
-              fb->free_listed = false;
-              DestroyFbuf(fb);
-            }
-          }
-        }
-      }
-      a.free_lists.clear();
-      a.cpu_free_lists.clear();
+      DestroyFreeListed(a);
       ReleaseAllocatorIfDrained(a);
     }
   }
@@ -1151,8 +1073,8 @@ FbufSystem::AuditCounts FbufSystem::Audit() const {
     }
   }
   for (const auto& [key, a] : allocators_) {
-    for (const auto* lists : AllFreeListMaps(a)) {
-      for (const auto& [pages, list] : *lists) {
+    for (const FreeLists& lists : a.free_lists) {
+      for (const auto& [pages, list] : lists) {
         for (FbufId id : list) {
           c.free_list_entries++;
           const Fbuf* fb = fbufs_[id].get();
@@ -1218,8 +1140,8 @@ std::size_t FbufSystem::FreeListSize(DomainId domain, PathId path) const {
     return 0;
   }
   std::size_t n = 0;
-  for (const auto* lists : AllFreeListMaps(it->second)) {
-    for (const auto& [pages, list] : *lists) {
+  for (const FreeLists& lists : it->second.free_lists) {
+    for (const auto& [pages, list] : lists) {
       n += list.size();
     }
   }
@@ -1232,8 +1154,8 @@ std::string FbufSystem::DebugDump() const {
      << swap_.size() << " pages in swap\n";
   for (const auto& [key, a] : allocators_) {
     std::size_t free_count = 0;
-    for (const auto* lists : AllFreeListMaps(a)) {
-      for (const auto& [pages, list] : *lists) {
+    for (const FreeLists& lists : a.free_lists) {
+      for (const auto& [pages, list] : lists) {
         free_count += list.size();
       }
     }

@@ -248,6 +248,9 @@ class FbufSystem {
   std::string DebugDump() const;
 
  private:
+  // LIFO free lists of one CPU lane, one per fbuf size in pages.
+  using FreeLists = std::map<std::uint64_t, std::vector<FbufId>>;
+
   struct Allocator {
     DomainId domain = kInvalidDomainId;
     PathId path = kNoPath;
@@ -257,15 +260,11 @@ class FbufSystem {
     std::uint64_t outstanding = 0;  // carved fbufs not yet destroyed
     SimTime last_alloc = 0;         // machine-clock time of the last allocation
     AddressSpace va{AddressSpace::Empty{}};
-    // LIFO free lists, one per fbuf size in pages.
-    std::map<std::uint64_t, std::vector<FbufId>> free_lists;
-    // Per-CPU free-list caches (slab/percpu idiom), populated only on
-    // multicore machines: Free pushes onto the freeing lane's cache and
-    // Allocate tries the allocating lane's cache before the shared lists,
-    // so flows pinned to different CPUs stop contending on one LIFO. Quota
-    // and audit accounting treat these exactly like the shared lists.
-    // Always empty on a single-CPU machine.
-    std::vector<std::map<std::uint64_t, std::vector<FbufId>>> cpu_free_lists;
+    // One set of free lists per CPU lane (slab/percpu idiom): the final
+    // release pushes onto the freeing lane's lists and allocation reuses
+    // only from the allocating lane's, so flows pinned to different CPUs
+    // never contend on one LIFO. A single-CPU machine has exactly one lane.
+    std::vector<FreeLists> free_lists;
     std::vector<std::pair<VirtAddr, std::uint64_t>> chunk_ranges;
   };
 
@@ -274,15 +273,6 @@ class FbufSystem {
   }
 
   Allocator& GetAllocator(DomainId domain, PathId path, bool cached);
-  // The active CPU lane's free-list cache of |a| (lazily sized). Multicore
-  // only; never called on a single-CPU machine.
-  std::map<std::uint64_t, std::vector<FbufId>>& CpuFreeLists(Allocator& a);
-  // Every free-list map of |a|: the shared one first, then each per-CPU
-  // cache. Shrink/reclaim/audit walks cover all of them.
-  static std::vector<std::map<std::uint64_t, std::vector<FbufId>>*> AllFreeListMaps(
-      Allocator& a);
-  static std::vector<const std::map<std::uint64_t, std::vector<FbufId>>*>
-  AllFreeListMaps(const Allocator& a);
   Status GrowAllocator(Allocator& a, std::uint64_t pages);
   Status AllocateInternal(Domain& originator, PathId path, std::uint64_t bytes,
                           bool want_volatile, Fbuf** out, bool clear_pages);
@@ -292,6 +282,11 @@ class FbufSystem {
   // Destroys free-listed fbufs owned by |d| until |pages_needed| pages were
   // released (or none remain). Returns pages released.
   std::uint64_t ShrinkDomainFreeLists(DomainId d, std::uint64_t pages_needed);
+  // Destroys |a|'s free-listed fbufs, coldest (front of each list) first,
+  // every lane in turn, until |max_pages| pages were released (or none
+  // remain). Returns pages released.
+  std::uint64_t DestroyFreeListed(Allocator& a,
+                                  std::uint64_t max_pages = ~std::uint64_t{0});
   Status CarveFbuf(Allocator& a, Domain& originator, std::uint64_t pages, std::uint64_t bytes,
                    bool want_volatile, Fbuf** out);
   // Re-materializes any reclaimed pages of a free-listed fbuf being reused.
@@ -303,6 +298,8 @@ class FbufSystem {
   // Unmaps everywhere, frees frames, releases VA.
   void DestroyFbuf(Fbuf* fb);
   void ReleaseAllocatorIfDrained(Allocator& a);
+  // Gives all of |a|'s chunks back to the region.
+  void ReleaseChunks(Allocator& a);
   void DeliverNotices(DomainId from, DomainId to);
   // Flushes now, or schedules a flush event when a loop is attached.
   void ScheduleFlush(DomainId holder, DomainId owner);

@@ -187,20 +187,20 @@ TEST(PerCpuFreeLists, ReusePrefersTheFreeingLane) {
   Fbuf* fb = nullptr;
   ASSERT_EQ(fsys.Allocate(*src, path, kPageSize, true, &fb), Status::kOk);
   ASSERT_EQ(fsys.Free(fb, *src), Status::kOk);
-  // Same lane allocates again: same fbuf comes back (per-CPU cache hit).
+  // Same lane allocates again: same fbuf comes back (own-lane hit).
   Fbuf* again = nullptr;
   ASSERT_EQ(fsys.Allocate(*src, path, kPageSize, true, &again), Status::kOk);
   EXPECT_EQ(again, fb);
   ASSERT_EQ(fsys.Free(again, *src), Status::kOk);
 
-  // The other lane misses lane 1's cache and carves a fresh fbuf instead.
+  // The other lane misses lane 1's lists and carves a fresh fbuf instead.
   m.SetActiveCpu(0);
   Fbuf* other = nullptr;
   ASSERT_EQ(fsys.Allocate(*src, path, kPageSize, true, &other), Status::kOk);
   EXPECT_NE(other, fb);
   ASSERT_EQ(fsys.Free(other, *src), Status::kOk);
 
-  // The auditor sees every free-listed fbuf, shared and per-CPU alike.
+  // The auditor sees every free-listed fbuf, on every lane.
   const FbufSystem::AuditCounts audit = fsys.Audit();
   EXPECT_EQ(audit.free_listed_fbufs, 2u);
   EXPECT_EQ(audit.free_list_errors, 0u);
@@ -209,7 +209,7 @@ TEST(PerCpuFreeLists, ReusePrefersTheFreeingLane) {
   EXPECT_EQ(fsys.FreeListSize(src->id(), path), 2u);
 }
 
-TEST(PerCpuFreeLists, SingleCpuKeepsSharedListOnly) {
+TEST(PerCpuFreeLists, SingleCpuReusesItsOnlyLane) {
   Machine m{MachineConfig{}};
   FbufSystem fsys(&m);
   Rpc rpc(&m);
@@ -224,6 +224,120 @@ TEST(PerCpuFreeLists, SingleCpuKeepsSharedListOnly) {
   ASSERT_EQ(fsys.Allocate(*src, path, kPageSize, true, &again), Status::kOk);
   EXPECT_EQ(again, fb);
   ASSERT_EQ(fsys.Free(again, *src), Status::kOk);
+}
+
+TEST(PerCpuFreeLists, IdleSweepSparesAPathHotOnALaneAhead) {
+  Machine m(Multicore(2));
+  FbufSystem fsys(&m);
+  Rpc rpc(&m);
+  fsys.AttachRpc(&rpc);
+  Domain* src = m.CreateDomain("src");
+  Domain* dst = m.CreateDomain("dst");
+  const PathId path = fsys.paths().Register({src->id(), dst->id()});
+  constexpr SimTime kMs = 1'000'000;
+
+  // Lane 1 runs 20 ms ahead of lane 0 and uses the path there.
+  m.SetActiveCpu(1);
+  m.cpu_clock(1).Advance(20 * kMs);
+  Fbuf* fb = nullptr;
+  ASSERT_EQ(fsys.Allocate(*src, path, kPageSize, true, &fb), Status::kOk);
+  ASSERT_EQ(fsys.Free(fb, *src), Status::kOk);
+
+  // A 10 ms idle sweep from lane 0, whose clock trails that allocation: the
+  // path was used in this lane's future, so it is hot, not idle.
+  m.SetActiveCpu(0);
+  ASSERT_LT(m.clock().Now(), 20 * kMs);
+  EXPECT_EQ(fsys.ShrinkIdlePaths(10 * kMs), 0u);
+  EXPECT_EQ(fsys.FreeListSize(src->id(), path), 1u);
+  EXPECT_FALSE(fb->dead);
+
+  // Once lane 0 is well past the allocation the path is idle.
+  m.cpu_clock(0).Advance(40 * kMs);
+  EXPECT_EQ(fsys.ShrinkIdlePaths(10 * kMs), 1u);
+  EXPECT_EQ(fsys.FreeListSize(src->id(), path), 0u);
+  EXPECT_EQ(fsys.AllocatorChunks(src->id(), path), 0u);
+}
+
+// A two-lane machine with one free-listed page parked on each lane's lists.
+struct TwoLaneParked {
+  Machine m{Multicore(2)};
+  FbufSystem fsys{&m};
+  Rpc rpc{&m};
+  Domain* src = nullptr;
+  Domain* dst = nullptr;
+  PathId path = kNoPath;
+  std::vector<Fbuf*> parked;
+
+  TwoLaneParked() {
+    fsys.AttachRpc(&rpc);
+    src = m.CreateDomain("src");
+    dst = m.CreateDomain("dst");
+    path = fsys.paths().Register({src->id(), dst->id()});
+    for (std::uint32_t cpu : {0u, 1u}) {
+      m.SetActiveCpu(cpu);
+      Fbuf* fb = nullptr;
+      EXPECT_EQ(fsys.Allocate(*src, path, kPageSize, true, &fb), Status::kOk);
+      EXPECT_EQ(fsys.Transfer(fb, *src, *dst), Status::kOk);
+      EXPECT_EQ(fsys.Free(fb, *src), Status::kOk);
+      EXPECT_EQ(fsys.Free(fb, *dst), Status::kOk);
+      fsys.FlushNotices(dst->id(), src->id());
+      parked.push_back(fb);
+    }
+    m.SetActiveCpu(0);
+    EXPECT_EQ(fsys.FreeListSize(src->id(), path), 2u);
+  }
+
+  void ExpectCleanAudit() const {
+    const FbufSystem::AuditCounts audit = fsys.Audit();
+    EXPECT_EQ(audit.free_list_errors, 0u);
+    EXPECT_EQ(audit.orphaned_live_fbufs, 0u);
+    EXPECT_EQ(audit.dangling_mappings, 0u);
+  }
+};
+
+TEST(PerCpuFreeLists, ReclaimReachesEveryLane) {
+  TwoLaneParked w;
+  // Reclaim discards the frames but keeps the fbufs cached for reuse.
+  EXPECT_EQ(w.fsys.ReclaimFreeMemory(), 2u);
+  EXPECT_EQ(w.fsys.ReclaimFreeMemory(), 0u);
+  EXPECT_EQ(w.fsys.FreeListSize(w.src->id(), w.path), 2u);
+  w.ExpectCleanAudit();
+}
+
+TEST(PerCpuFreeLists, QuotaShrinkReachesEveryLane) {
+  TwoLaneParked w;
+  // Two pages in use, quota two: carving a two-page fbuf (a size no lane has
+  // cached) must shrink both lanes' lists.
+  w.fsys.SetDomainQuota(w.src->id(), 2);
+  Fbuf* big = nullptr;
+  ASSERT_EQ(w.fsys.Allocate(*w.src, w.path, 2 * kPageSize, true, &big), Status::kOk);
+  EXPECT_TRUE(w.parked[0]->dead);
+  EXPECT_TRUE(w.parked[1]->dead);
+  EXPECT_EQ(w.fsys.FreeListSize(w.src->id(), w.path), 0u);
+  EXPECT_EQ(w.fsys.DomainPagesInUse(w.src->id()), 2u);
+  w.ExpectCleanAudit();
+}
+
+TEST(PerCpuFreeLists, DestroyPathReachesEveryLane) {
+  TwoLaneParked w;
+  w.fsys.DestroyPath(w.path);
+  EXPECT_TRUE(w.parked[0]->dead);
+  EXPECT_TRUE(w.parked[1]->dead);
+  EXPECT_EQ(w.fsys.FreeListSize(w.src->id(), w.path), 0u);
+  EXPECT_EQ(w.fsys.FreeListedFbufCount(), 0u);
+  EXPECT_EQ(w.fsys.AllocatorChunks(w.src->id(), w.path), 0u);
+  w.ExpectCleanAudit();
+}
+
+TEST(PerCpuFreeLists, DomainTerminationReachesEveryLane) {
+  TwoLaneParked w;
+  w.m.DestroyDomain(w.src->id());
+  EXPECT_TRUE(w.parked[0]->dead);
+  EXPECT_TRUE(w.parked[1]->dead);
+  EXPECT_EQ(w.fsys.FreeListSize(w.src->id(), w.path), 0u);
+  EXPECT_EQ(w.fsys.FreeListedFbufCount(), 0u);
+  EXPECT_EQ(w.fsys.AllocatorChunks(w.src->id(), w.path), 0u);
+  w.ExpectCleanAudit();
 }
 
 // --- topo layer: multicore runs ----------------------------------------------
