@@ -287,8 +287,6 @@ class FbufSystem {
   // remain). Returns pages released.
   std::uint64_t DestroyFreeListed(Allocator& a,
                                   std::uint64_t max_pages = ~std::uint64_t{0});
-  Status CarveFbuf(Allocator& a, Domain& originator, std::uint64_t pages, std::uint64_t bytes,
-                   bool want_volatile, Fbuf** out);
   // Re-materializes any reclaimed pages of a free-listed fbuf being reused.
   Status EnsureMaterialized(Fbuf* fb);
   Status SecureInternal(Fbuf* fb);

@@ -4,10 +4,18 @@
 // observable as two domains translating to the same frame; a copying
 // facility performs an actual memcpy between frames. Frames are reference
 // counted so copy-on-write and shared fbuf mappings can share them.
+//
+// The arena is reserved up front but becomes resident only as frames are
+// touched: it comes from calloc, which the host serves from fresh mmap'd
+// pages that the kernel zeroes on first touch. Every frame reads as zero
+// before its first use, and a machine's host memory tracks the frames the
+// simulation actually writes, not its configured size.
 #ifndef SRC_SIM_PHYS_MEM_H_
 #define SRC_SIM_PHYS_MEM_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -23,8 +31,8 @@ constexpr FrameId kInvalidFrame = static_cast<FrameId>(-1);
 
 class PhysMem {
  public:
-  // |frames| page frames of backing store. The arena is allocated up front;
-  // ~64 MB at the default 16384 frames.
+  // |frames| page frames of backing store: ~64 MB of address space at the
+  // default 16384 frames, of which only touched frames cost host memory.
   PhysMem(std::uint32_t frames, SimClock* clock, const CostParams* costs, SimStats* stats);
 
   PhysMem(const PhysMem&) = delete;
@@ -63,7 +71,10 @@ class PhysMem {
   SimClock* clock_;
   const CostParams* costs_;
   SimStats* stats_;
-  std::vector<std::uint8_t> arena_;
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::uint8_t[], FreeDeleter> arena_;
   std::vector<std::uint32_t> refcount_;
   std::vector<FrameId> free_list_;
 };

@@ -39,7 +39,9 @@ namespace fbufs {
 class LifecycleTracker;
 
 struct MachineConfig {
-  std::uint32_t phys_frames = 16384;  // 64 MB of simulated physical memory
+  // Simulated physical memory: 16384 frames is 64 MB. The host reserves it
+  // up front but pays for a frame only once the simulation touches it.
+  std::uint32_t phys_frames = 16384;
   std::uint32_t tlb_entries = Tlb::kDefaultEntries;
   CostParams costs = CostParams::DecStation5000();
   std::string name = "host";

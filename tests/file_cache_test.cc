@@ -49,18 +49,25 @@ TEST_F(FileCacheTest, MissThenHit) {
 }
 
 TEST_F(FileCacheTest, ReadContentIsDeterministicAndReadable) {
-  FileCache cache(&world_.fsys, SmallConfig());
-  Message m;
-  ASSERT_EQ(cache.Read(3, 7, *app_, &m), Status::kOk);
-  EXPECT_EQ(m.length(), 8192u);
-  std::vector<std::uint8_t> data(64);
-  ASSERT_EQ(m.CopyOut(*app_, 0, data.data(), data.size()), Status::kOk);
-  for (std::uint64_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(data[i], static_cast<std::uint8_t>(3 * 37 + 7 * 11 + i));
+  // Every byte of the block: across the page boundary of a two-page block,
+  // and into the partial last page of a 6000-byte one.
+  for (const std::uint64_t block_bytes : {8192u, 6000u}) {
+    FileCacheConfig config = SmallConfig();
+    config.block_bytes = block_bytes;
+    FileCache cache(&world_.fsys, config);
+    Message m;
+    ASSERT_EQ(cache.Read(3, 7, *app_, &m), Status::kOk);
+    EXPECT_EQ(m.length(), block_bytes);
+    std::vector<std::uint8_t> data(block_bytes);
+    ASSERT_EQ(m.CopyOut(*app_, 0, data.data(), data.size()), Status::kOk);
+    for (std::uint64_t i = 0; i < data.size(); ++i) {
+      ASSERT_EQ(data[i], static_cast<std::uint8_t>(3 * 37 + 7 * 11 + i))
+          << "block_bytes " << block_bytes << " byte " << i;
+    }
+    // The application cannot scribble on the cache.
+    EXPECT_EQ(m.Touch(*app_, Access::kWrite), Status::kProtection);
+    ASSERT_EQ(cache.Release(m, *app_), Status::kOk);
   }
-  // The application cannot scribble on the cache.
-  EXPECT_EQ(m.Touch(*app_, Access::kWrite), Status::kProtection);
-  ASSERT_EQ(cache.Release(m, *app_), Status::kOk);
 }
 
 TEST_F(FileCacheTest, TwoReadersShareOnePhysicalBlock) {

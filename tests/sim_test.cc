@@ -1,7 +1,11 @@
 // Unit tests for the sim substrate: clock, cost model, physical memory, rng.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
@@ -152,6 +156,37 @@ TEST(PhysMem, DataIsPersistentAcrossFrames) {
   pm.Data(*b)[0] = 0xbb;
   EXPECT_EQ(pm.Data(*a)[0], 0xaa);
   EXPECT_EQ(pm.Data(*b)[0], 0xbb);
+}
+
+// The arena is reserved up front but costs host memory only where frames
+// are touched; untouched frames still read as zero.
+TEST(PhysMem, ArenaIsResidentOnlyWhereTouched) {
+  SimClock clock;
+  CostParams costs = CostParams::Zero();
+  SimStats stats;
+  constexpr std::uint32_t kFrames = 16384;  // the default 64 MB machine
+  PhysMem pm(kFrames, &clock, &costs, &stats);
+  for (int n = 0; n < 4; ++n) {
+    auto f = pm.Allocate(false);
+    ASSERT_TRUE(f.has_value());
+    const std::uint8_t* data = pm.Data(*f);
+    for (std::uint64_t i = 0; i < kPageSize; ++i) {
+      ASSERT_EQ(data[i], 0) << "frame " << *f << " byte " << i;
+    }
+  }
+  const auto host_page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(pm.Data(0)) & ~(host_page - 1);
+  const std::uintptr_t end =
+      reinterpret_cast<std::uintptr_t>(pm.Data(0)) + std::uintptr_t{kFrames} * kPageSize;
+  const std::size_t pages = (end - begin + host_page - 1) / host_page;
+  std::vector<unsigned char> residency(pages);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(begin), end - begin, residency.data()), 0);
+  std::size_t resident = 0;
+  for (unsigned char r : residency) {
+    resident += r & 1;
+  }
+  // Room for one transparent huge page (512 x 4 KB) around the touched frames.
+  EXPECT_LT(resident, 1024u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
