@@ -27,6 +27,8 @@
 #ifndef SRC_OBS_ATTRIBUTION_H_
 #define SRC_OBS_ATTRIBUTION_H_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -117,15 +119,22 @@ class Attribution {
 
   // --- Context (scopes below maintain these) ---------------------------------
   void PushLayer(CostDomain d) {
+    const CostDomain before = CurrentLayer();
     if (depth_ < kMaxDepth) {
       stack_[depth_] = d;
     }
     depth_++;
-    Revalidate();
+    if (CurrentLayer() != before) {
+      work_cell_ = Resolve(WorkKey());
+    }
   }
   void PopLayer() {
+    assert(depth_ > 0 && "PopLayer without PushLayer");
+    const CostDomain before = CurrentLayer();
     depth_--;
-    Revalidate();
+    if (CurrentLayer() != before) {
+      work_cell_ = Resolve(WorkKey());
+    }
   }
   CostDomain CurrentLayer() const {
     if (depth_ == 0) {
@@ -137,11 +146,17 @@ class Attribution {
 
   DomainId actor() const { return actor_; }
   void SetActor(DomainId d) {
+    if (d == actor_) {
+      return;
+    }
     actor_ = d;
     Revalidate();
   }
   AttrPathId path() const { return path_; }
   void SetPath(AttrPathId p) {
+    if (p == path_) {
+      return;
+    }
     path_ = p;
     Revalidate();
   }
@@ -149,6 +164,9 @@ class Attribution {
   // The CPU lane charges land on. Maintained by Machine::SetActiveCpu, not
   // by a scope here: the active lane is machine state, not call-site state.
   void SetCpu(std::uint32_t c) {
+    if (c == cpu_) {
+      return;
+    }
     cpu_ = c;
     Revalidate();
   }
@@ -184,12 +202,39 @@ class Attribution {
  private:
   static constexpr std::size_t kMaxDepth = 16;
 
-  // Re-resolves the cached cell pointers after any context change; Record
-  // and RecordWait stay two additions each.
+  // Points both cached cells at the current context's cells. Called only
+  // when the context key changed: an unchanged key already has its cell and
+  // a current pointer. Every entered context creates its cell, even if it is
+  // never charged, because zero-valued cells are output (per-path reports
+  // and digests list them). Record and RecordWait stay two additions each.
   void Revalidate() {
-    work_cell_ = &cells_[Key{CurrentLayer(), actor_, path_, cpu_}];
-    wait_cell_ = &cells_[Key{CostDomain::kWait, actor_, path_, cpu_}];
+    work_cell_ = Resolve(WorkKey());
+    wait_cell_ = Resolve(Key{CostDomain::kWait, actor_, path_, cpu_});
   }
+  Key WorkKey() const { return Key{CurrentLayer(), actor_, path_, cpu_}; }
+
+  // A direct-mapped memo in front of cells_. Map nodes never move and are
+  // never erased, so a cached pointer stays valid for the object's life.
+  SimTime* Resolve(const Key& k) {
+    MemoSlot& slot = memo_[MemoIndex(k)];
+    if (slot.cell == nullptr || !(slot.key == k)) {
+      slot = MemoSlot{k, &cells_[k]};
+    }
+    return slot.cell;
+  }
+  static std::size_t MemoIndex(const Key& k) {
+    std::uint64_t h = static_cast<std::uint64_t>(k.layer);
+    h = h * 31 + k.domain;
+    h = h * 31 + k.path;
+    h = h * 31 + k.cpu;
+    return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits));
+  }
+
+  static constexpr int kMemoBits = 6;
+  struct MemoSlot {
+    Key key;
+    SimTime* cell = nullptr;
+  };
 
   std::map<Key, SimTime> cells_;
   SimTime total_ = 0;
@@ -200,6 +245,7 @@ class Attribution {
   DomainId actor_ = kInvalidDomainId;
   AttrPathId path_ = kAttrNoPath;
   std::uint32_t cpu_ = 0;
+  MemoSlot memo_[std::size_t{1} << kMemoBits] = {};
 };
 
 // --- Tagging scopes (RAII; nestable; innermost wins) ---------------------------

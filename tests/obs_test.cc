@@ -2,6 +2,11 @@
 // invariant), the metrics registry, and the Chrome-trace exporter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -25,6 +30,11 @@ SimTime CellSum(const Attribution& a) {
     n += ns;
   }
   return n;
+}
+
+std::size_t ZeroCells(const Attribution& a) {
+  return static_cast<std::size_t>(std::count_if(
+      a.cells().begin(), a.cells().end(), [](const auto& cell) { return cell.second == 0; }));
 }
 
 void ExpectConserved(Machine& m) {
@@ -55,6 +65,15 @@ TEST(Attribution, ConservationHoldsOnCachedEndToEndRun) {
   EXPECT_GT(a.ByLayer(CostDomain::kNet), 0u);
   // Every charge site is scoped: nothing fell through to kOther.
   EXPECT_EQ(a.ByLayer(CostDomain::kOther), 0u);
+  // Every context a scope enters creates its cell, charged or not. These
+  // cells, zero-valued ones included, feed the benches' by_path report and
+  // perfbench's sim_digest, so a call-site change that stops creating one
+  // moves both outputs.
+  EXPECT_EQ(a.cells().size(), 28u);
+  EXPECT_EQ(ZeroCells(a), 16u);
+  const Attribution& rx = b.topo->host(b.receiver_node)->machine.attribution();
+  EXPECT_EQ(rx.cells().size(), 19u);
+  EXPECT_EQ(ZeroCells(rx), 9u);
 }
 
 TEST(Attribution, ConservationHoldsOnUncachedEndToEndRun) {
@@ -173,6 +192,144 @@ TEST(Attribution, ActorAndPathScopesTagCells) {
   EXPECT_EQ(attr.ByDomain(3), 11u);
   EXPECT_EQ(attr.ByPath(7), 11u);
 }
+
+// Resolution as a plain map lookup of both cells on every context change,
+// with no skipped no-op changes and no memo: the reference the fast path in
+// Attribution must match cell for cell.
+class NaiveAttribution {
+ public:
+  NaiveAttribution() { Revalidate(); }
+
+  void Record(SimTime ns) {
+    *work_cell_ += ns;
+    total_ += ns;
+  }
+  void RecordWait(SimTime ns) {
+    *wait_cell_ += ns;
+    total_ += ns;
+  }
+  void PushLayer(CostDomain d) {
+    stack_.push_back(d);
+    Revalidate();
+  }
+  void PopLayer() {
+    stack_.pop_back();
+    Revalidate();
+  }
+  void SetActor(DomainId d) {
+    actor_ = d;
+    Revalidate();
+  }
+  void SetPath(AttrPathId p) {
+    path_ = p;
+    Revalidate();
+  }
+  void SetCpu(std::uint32_t c) {
+    cpu_ = c;
+    Revalidate();
+  }
+
+  const std::map<Attribution::Key, SimTime>& cells() const { return cells_; }
+  SimTime total() const { return total_; }
+
+ private:
+  // Attribution keeps only the outermost 16 layers; deeper pushes leave the
+  // 16th in charge until they are popped.
+  static constexpr std::size_t kMaxDepth = 16;
+
+  void Revalidate() {
+    const CostDomain layer =
+        stack_.empty() ? CostDomain::kOther : stack_[std::min(stack_.size(), kMaxDepth) - 1];
+    work_cell_ = &cells_[Attribution::Key{layer, actor_, path_, cpu_}];
+    wait_cell_ = &cells_[Attribution::Key{CostDomain::kWait, actor_, path_, cpu_}];
+  }
+
+  std::map<Attribution::Key, SimTime> cells_;
+  SimTime total_ = 0;
+  SimTime* work_cell_ = nullptr;
+  SimTime* wait_cell_ = nullptr;
+  std::vector<CostDomain> stack_;
+  DomainId actor_ = kInvalidDomainId;
+  AttrPathId path_ = kAttrNoPath;
+  std::uint32_t cpu_ = 0;
+};
+
+TEST(Attribution, FastPathMatchesNaiveResolution) {
+  // 13 layers x 6 actors x 4 paths x 4 cpus: far more keys than memo slots,
+  // so slots collide and evict.
+  const DomainId actors[] = {kInvalidDomainId, kKernelDomainId, 1, 2, 7, 42};
+  const AttrPathId paths[] = {kAttrNoPath, 0, 3, 9};
+  constexpr std::uint32_t kCpus = 4;
+  constexpr std::size_t kDepthLimit = 24;  // past Attribution's 16-deep clamp
+
+  std::mt19937 rng(16);
+  Attribution fast;
+  NaiveAttribution ref;
+  std::vector<CostDomain> stack;
+  DomainId actor = kInvalidDomainId;
+  AttrPathId path = kAttrNoPath;
+  std::uint32_t cpu = 0;
+  std::size_t max_depth = 0;
+  std::size_t noop_sets = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint32_t op = rng() % 100;
+    // A quarter of the context sets re-set the current value.
+    const bool noop = rng() % 4 == 0;
+    if (op < 58) {
+      const bool push = stack.empty() || (op < 30 && stack.size() < kDepthLimit);
+      if (push) {
+        const auto d = static_cast<CostDomain>(rng() % static_cast<std::uint32_t>(CostDomain::kCount));
+        stack.push_back(d);
+        fast.PushLayer(d);
+        ref.PushLayer(d);
+        max_depth = std::max(max_depth, stack.size());
+      } else {
+        stack.pop_back();
+        fast.PopLayer();
+        ref.PopLayer();
+      }
+    } else if (op < 64) {
+      actor = noop ? actor : actors[rng() % std::size(actors)];
+      fast.SetActor(actor);
+      ref.SetActor(actor);
+    } else if (op < 70) {
+      path = noop ? path : paths[rng() % std::size(paths)];
+      fast.SetPath(path);
+      ref.SetPath(path);
+    } else if (op < 76) {
+      cpu = noop ? cpu : rng() % kCpus;
+      fast.SetCpu(cpu);
+      ref.SetCpu(cpu);
+    } else if (op < 94) {
+      const SimTime ns = rng() % 100;  // zero charges included
+      fast.Record(ns);
+      ref.Record(ns);
+    } else {
+      const SimTime ns = rng() % 100;
+      fast.RecordWait(ns);
+      ref.RecordWait(ns);
+    }
+    noop_sets += noop && op >= 58 && op < 76;
+    if (i % 1000 == 999) {
+      ASSERT_EQ(fast.cells(), ref.cells()) << "after op " << i;
+      ASSERT_EQ(fast.total(), ref.total()) << "after op " << i;
+    }
+  }
+  EXPECT_EQ(fast.cells(), ref.cells());
+  EXPECT_EQ(fast.total(), ref.total());
+  // The sequence reached what it was built to reach.
+  EXPECT_GT(max_depth, 16u);
+  EXPECT_GT(noop_sets, 0u);
+  EXPECT_GT(ref.cells().size(), 64u);
+  EXPECT_GT(ZeroCells(fast), 0u);
+}
+
+#if GTEST_HAS_DEATH_TEST
+TEST(AttributionDeathTest, PopLayerWithoutPushLayerAsserts) {
+  Attribution attr;
+  EXPECT_DEBUG_DEATH(attr.PopLayer(), "PopLayer without PushLayer");
+}
+#endif
 
 // --- Metrics -----------------------------------------------------------------
 
