@@ -62,9 +62,9 @@ bool FileCache::Evict(const Key& key, EvictReason reason) {
     pin_blocked_evictions_++;
     return false;
   }
-  for (Fbuf* fb : it->second.content.Fbufs()) {
-    fsys_->Free(fb, *kernel_);
-  }
+  // A local handle keeps the DAG alive for the walk, whatever Free does.
+  const Message content = it->second.content;
+  content.ForEachFbuf([this](Fbuf* fb) { fsys_->Free(fb, *kernel_); });
   lru_.erase(it->second.lru_pos);
   blocks_.erase(it);
   switch (reason) {
@@ -117,29 +117,37 @@ Status FileCache::Read(FileId file, std::uint64_t block, Domain& reader, Message
   // and retained afterwards (the block's "path" warms per reader). A
   // partial grant (dead reader, quota) rolls back so the failure leaves the
   // reader holding nothing.
-  std::vector<Fbuf*> granted;
-  for (Fbuf* fb : it->second.content.Fbufs()) {
-    const Status st = fsys_->Transfer(fb, *kernel_, reader);
-    if (!Ok(st)) {
-      for (Fbuf* g : granted) {
-        fsys_->Free(g, reader);
+  const Message content = it->second.content;
+  std::size_t granted = 0;
+  Status st = Status::kOk;
+  content.ForEachFbuf([&](Fbuf* fb) {
+    st = fsys_->Transfer(fb, *kernel_, reader);
+    granted += Ok(st) ? 1 : 0;
+    return Ok(st);
+  });
+  if (!Ok(st)) {
+    // The granted fbufs are the first |granted| of the same walk.
+    content.ForEachFbuf([&](Fbuf* fb) {
+      if (granted == 0) {
+        return false;
       }
-      return st;
-    }
-    granted.push_back(fb);
+      granted--;
+      fsys_->Free(fb, reader);
+      return true;
+    });
+    return st;
   }
-  *out = it->second.content;
+  *out = content;
   return Status::kOk;
 }
 
 Status FileCache::Release(const Message& m, Domain& reader) {
-  for (Fbuf* fb : m.Fbufs()) {
-    const Status st = fsys_->Free(fb, reader);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-  return Status::kOk;
+  Status st = Status::kOk;
+  m.ForEachFbuf([&](Fbuf* fb) {
+    st = fsys_->Free(fb, reader);
+    return Ok(st);
+  });
+  return st;
 }
 
 Status FileCache::Write(FileId file, std::uint64_t block, Domain& writer, const Message& m) {

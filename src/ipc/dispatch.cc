@@ -39,12 +39,14 @@ std::unique_ptr<DispatchQueue> Dispatcher::MakeQueue(std::uint32_t cpu,
         machine_->SetActiveCpu(cpu);
       },
       [this, prev] { machine_->SetActiveCpu(*prev); });
-  q->SetWaitObserver([this, raw](SimTime start, SimTime wait) {
+  // Metric names are built once per queue, not once per item.
+  q->SetWaitObserver([this, raw, wait_name = "dispatch.wait_ns/" + name,
+                      depth_name = "dispatch.depth/" + name](SimTime start,
+                                                             SimTime wait) {
     MetricsRegistry* m = machine_->metrics();
     if (m != nullptr) {
-      m->GetHistogram("dispatch.wait_ns/" + raw->name())->Observe(wait);
-      m->Sample("dispatch.depth/" + raw->name(), start,
-                static_cast<std::int64_t>(raw->depth()));
+      m->GetHistogram(wait_name)->Observe(wait);
+      m->Sample(depth_name, start, static_cast<std::int64_t>(raw->depth()));
     }
   });
   return q;
@@ -70,13 +72,13 @@ DispatchQueue& Dispatcher::QueueForDomain(DomainId d) {
   return *it->second;
 }
 
-void Dispatcher::Submit(DispatchQueue& q, SimTime ready, std::string label,
-                        DispatchQueue::Work work, DispatchQueue::Done done) {
+void Dispatcher::Submit(DispatchQueue& q, SimTime ready, DispatchQueue::Work work,
+                        DispatchQueue::Done done) {
   // The path active at submission time owns whatever queueing delay the item
   // accumulates; the work itself re-establishes its own scopes when it runs.
   const AttrPathId path = machine_->attribution().path();
   q.Enqueue(
-      ready, std::move(label),
+      ready,
       [this, work = std::move(work)] {
         {
           // The run-queue pop and context switch to the servicing thread.
@@ -89,15 +91,14 @@ void Dispatcher::Submit(DispatchQueue& q, SimTime ready, std::string label,
       [this, path](SimTime wait) { path_wait_ns_[path] += wait; });
 }
 
-void Dispatcher::RunOnCpu(std::uint32_t cpu, SimTime ready, std::string label,
-                          DispatchQueue::Work work, DispatchQueue::Done done) {
-  Submit(QueueForCpu(cpu), ready, std::move(label), std::move(work), std::move(done));
+void Dispatcher::RunOnCpu(std::uint32_t cpu, SimTime ready, DispatchQueue::Work work,
+                          DispatchQueue::Done done) {
+  Submit(QueueForCpu(cpu), ready, std::move(work), std::move(done));
 }
 
-void Dispatcher::RunInDomain(DomainId domain, SimTime ready, std::string label,
-                             DispatchQueue::Work work, DispatchQueue::Done done) {
-  Submit(QueueForDomain(domain), ready, std::move(label), std::move(work),
-         std::move(done));
+void Dispatcher::RunInDomain(DomainId domain, SimTime ready, DispatchQueue::Work work,
+                             DispatchQueue::Done done) {
+  Submit(QueueForDomain(domain), ready, std::move(work), std::move(done));
 }
 
 SimTime Dispatcher::TotalWaitNs() const {

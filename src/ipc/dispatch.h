@@ -50,12 +50,12 @@ class Dispatcher {
   // behind everything already queued for that lane's queue. |work| executes
   // with the lane active and is charged the per-dispatch cost first; |done|
   // (optional) fires with the completion time on the lane.
-  void RunOnCpu(std::uint32_t cpu, SimTime ready, std::string label,
-                DispatchQueue::Work work, DispatchQueue::Done done = {});
+  void RunOnCpu(std::uint32_t cpu, SimTime ready, DispatchQueue::Work work,
+                DispatchQueue::Done done = {});
 
   // Runs |work| in |domain|'s queue (on its bound CPU).
-  void RunInDomain(DomainId domain, SimTime ready, std::string label,
-                   DispatchQueue::Work work, DispatchQueue::Done done = {});
+  void RunInDomain(DomainId domain, SimTime ready, DispatchQueue::Work work,
+                   DispatchQueue::Done done = {});
 
   DispatchQueue& QueueForCpu(std::uint32_t cpu);
   DispatchQueue& QueueForDomain(DomainId d);
@@ -74,8 +74,8 @@ class Dispatcher {
  private:
   // Wraps |work| with the active-CPU switch and the dispatch cost, and
   // enqueues it on |q|.
-  void Submit(DispatchQueue& q, SimTime ready, std::string label,
-              DispatchQueue::Work work, DispatchQueue::Done done);
+  void Submit(DispatchQueue& q, SimTime ready, DispatchQueue::Work work,
+              DispatchQueue::Done done);
   std::unique_ptr<DispatchQueue> MakeQueue(std::uint32_t cpu, const std::string& name);
 
   Machine* machine_;

@@ -86,7 +86,6 @@ void Rpc::ChargeCrossingAsync(Domain& a, Domain& b, CrossingDone done) {
   const DomainId to = b.id();
   dispatcher_->RunInDomain(
       to, ready,
-      "crossing/" + std::to_string(from) + ">" + std::to_string(to),
       [this, from, to] {
         // ChargeCrossing lands on the callee's lane: the dispatch queue's
         // context hooks have made it the active CPU.
@@ -133,7 +132,7 @@ void Rpc::CallAsync(Domain& caller, ServiceId svc, RpcArgs args, AsyncDone done)
   auto state = std::make_shared<CallState>();
   state->args = args;
   dispatcher_->RunInDomain(
-      server_id, ready, "rpc/" + std::to_string(svc),
+      server_id, ready,
       [this, caller_id, server_id, svc, state] {
         Domain* c = machine_->domain(caller_id);
         Domain* s = machine_->domain(server_id);

@@ -57,15 +57,16 @@ class HbioChannel {
       return Status::kExhausted;
     }
     rpc_->ChargeCrossing(*producer_, *consumer_);
-    for (Fbuf* fb : m.Fbufs()) {
-      const Status st = fsys_->Transfer(fb, *producer_, *consumer_);
-      if (!Ok(st)) {
-        return st;
+    Status st = Status::kOk;
+    m.ForEachFbuf([&](Fbuf* fb) {
+      st = fsys_->Transfer(fb, *producer_, *consumer_);
+      if (Ok(st)) {
+        st = fsys_->Free(fb, *producer_);
       }
-      const Status free_st = fsys_->Free(fb, *producer_);
-      if (!Ok(free_st)) {
-        return free_st;
-      }
+      return Ok(st);
+    });
+    if (!Ok(st)) {
+      return st;
     }
     queue_.push_back(m);
     return Status::kOk;
@@ -85,13 +86,12 @@ class HbioChannel {
 
   // Releases the consumer's references on a Get()-returned aggregate.
   Status Done(const Message& m) {
-    for (Fbuf* fb : m.Fbufs()) {
-      const Status st = fsys_->Free(fb, *consumer_);
-      if (!Ok(st)) {
-        return st;
-      }
-    }
-    return Status::kOk;
+    Status st = Status::kOk;
+    m.ForEachFbuf([&](Fbuf* fb) {
+      st = fsys_->Free(fb, *consumer_);
+      return Ok(st);
+    });
+    return st;
   }
 
   // Record-granular consumption (§5.2's generator operation).

@@ -37,24 +37,6 @@ Message Message::Concat(const Message& left, const Message& right) {
   return Message(std::move(n));
 }
 
-void Message::ForEachExtent(const std::function<void(const Extent&)>& fn) const {
-  if (!root_) {
-    return;
-  }
-  // Explicit stack: messages can be deep chains of concatenations.
-  std::vector<const Node*> stack{root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->left) {
-      stack.push_back(n->right.get());
-      stack.push_back(n->left.get());
-    } else if (n->extent.len > 0) {
-      fn(n->extent);
-    }
-  }
-}
-
 std::vector<Extent> Message::Extents() const {
   std::vector<Extent> out;
   ForEachExtent([&out](const Extent& e) { out.push_back(e); });
@@ -63,28 +45,24 @@ std::vector<Extent> Message::Extents() const {
 
 std::vector<Fbuf*> Message::Fbufs() const {
   std::vector<Fbuf*> out;
-  ForEachExtent([&out](const Extent& e) {
-    if (e.fb != nullptr && std::find(out.begin(), out.end(), e.fb) == out.end()) {
-      out.push_back(e.fb);
-    }
-  });
+  ForEachFbuf([&out](Fbuf* fb) { out.push_back(fb); });
   return out;
 }
 
-Message Message::FromExtents(const std::vector<Extent>& extents) {
+Message Message::FromExtents(const Extent* extents, std::size_t count) {
   Message m;
   // Right-fold so extents stay in order.
-  for (auto it = extents.rbegin(); it != extents.rend(); ++it) {
+  for (std::size_t i = count; i-- > 0;) {
     auto n = std::make_shared<Node>();
-    n->extent = *it;
-    n->len = it->len;
+    n->extent = extents[i];
+    n->len = extents[i].len;
     m = Concat(Message(std::move(n)), m);
   }
   return m;
 }
 
 Message Message::Slice(std::uint64_t off, std::uint64_t len) const {
-  std::vector<Extent> kept;
+  InlineVec<Extent, kInlineSliceExtents> kept;
   std::uint64_t pos = 0;
   const std::uint64_t end = off + len;
   ForEachExtent([&](const Extent& e) {
@@ -98,8 +76,9 @@ Message Message::Slice(std::uint64_t off, std::uint64_t len) const {
       kept.push_back(part);
     }
     pos += e.len;
+    return pos < end;  // nothing past |end| is kept
   });
-  return FromExtents(kept);
+  return FromExtents(kept.data(), kept.size());
 }
 
 Status Message::CopyOut(Domain& d, std::uint64_t off, void* dst, std::uint64_t len) const {
@@ -208,7 +187,8 @@ std::size_t Message::NodeCount() const {
     return 0;
   }
   std::size_t count = 0;
-  std::vector<const Node*> stack{root_.get()};
+  InlineVec<const Node*, kInlineWalkDepth> stack;
+  stack.push_back(root_.get());
   while (!stack.empty()) {
     const Node* n = stack.back();
     stack.pop_back();

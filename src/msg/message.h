@@ -12,9 +12,13 @@
 #ifndef SRC_MSG_MESSAGE_H_
 #define SRC_MSG_MESSAGE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/fbuf/fbuf.h"
@@ -62,11 +66,21 @@ class Message {
   std::uint64_t length() const { return root_ ? root_->len : 0; }
   bool empty() const { return length() == 0; }
 
-  // Leaf-order walk of the extents.
-  void ForEachExtent(const std::function<void(const Extent&)>& fn) const;
+  // Leaf-order walk of the extents. |fn| takes a const Extent&; if it
+  // returns bool, false ends the walk. The walk stack lives inline and
+  // spills to the heap only past kInlineWalkDepth pending nodes (deep
+  // left-leaning chains), so a walk allocates nothing.
+  template <typename Fn>
+  void ForEachExtent(Fn&& fn) const;
   std::vector<Extent> Extents() const;
 
-  // The distinct fbufs this message references, in first-appearance order.
+  // Visits the distinct fbufs this message references, in first-appearance
+  // order (the order Fbufs() lists). Same early-stop rule and the same
+  // heap-free walk; the seen-set spills past kInlineFbufs distinct fbufs.
+  template <typename Fn>
+  void ForEachFbuf(Fn&& fn) const;
+
+  // The distinct fbufs as a vector (cold callers; hot paths use ForEachFbuf).
   std::vector<Fbuf*> Fbufs() const;
 
   // --- Data access through a domain (checked; absent data reads zeros) ------
@@ -80,7 +94,13 @@ class Message {
   // Number of DAG nodes (for integrated storage sizing and tests).
   std::size_t NodeCount() const;
 
+  // Slice keeps up to this many extents without touching the heap.
+  static constexpr std::size_t kInlineSliceExtents = 16;
+
  private:
+  static constexpr std::size_t kInlineWalkDepth = 32;
+  static constexpr std::size_t kInlineFbufs = 16;
+
   struct Node {
     // Leaf when left == nullptr.
     std::shared_ptr<Node> left;
@@ -89,12 +109,101 @@ class Message {
     std::uint64_t len = 0;
   };
 
+  // A growable array of trivially copyable T whose first N elements live
+  // inline; it moves to the heap only once it outgrows them. Pinned in place
+  // (no copy or move): data() may point into the object itself.
+  template <typename T, std::size_t N>
+  class InlineVec {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                  std::is_trivially_destructible_v<T>);
+
+   public:
+    InlineVec() = default;
+    InlineVec(const InlineVec&) = delete;
+    InlineVec& operator=(const InlineVec&) = delete;
+
+    void push_back(const T& v) {
+      if (size_ == cap_) {
+        Grow();
+      }
+      new (data_ + size_) T(v);
+      size_++;
+    }
+    void pop_back() { size_--; }
+    T& back() { return data_[size_ - 1]; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const T* data() const { return data_; }
+    const T* begin() const { return data_; }
+    const T* end() const { return data_ + size_; }
+
+   private:
+    void Grow() {
+      std::vector<T> bigger(cap_ * 2);
+      std::copy(data_, data_ + size_, bigger.begin());
+      heap_.swap(bigger);
+      data_ = heap_.data();
+      cap_ = heap_.size();
+    }
+
+    alignas(T) unsigned char inline_[N * sizeof(T)];
+    std::vector<T> heap_;
+    T* data_ = reinterpret_cast<T*>(inline_);
+    std::size_t size_ = 0;
+    std::size_t cap_ = N;
+  };
+
+  // Calls |fn| with |arg|; false only when |fn| returns bool false.
+  template <typename Fn, typename Arg>
+  static bool Visit(Fn& fn, Arg&& arg) {
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, Arg>, bool>) {
+      return fn(std::forward<Arg>(arg));
+    } else {
+      fn(std::forward<Arg>(arg));
+      return true;
+    }
+  }
+
   explicit Message(std::shared_ptr<Node> root) : root_(std::move(root)) {}
 
-  static Message FromExtents(const std::vector<Extent>& extents);
+  // Right-folds |count| extents into a chain (2*count - 1 nodes), so the
+  // DAG shape — and an integrated copy's NodeCount() — is fixed by count.
+  static Message FromExtents(const Extent* extents, std::size_t count);
 
   std::shared_ptr<Node> root_;
 };
+
+template <typename Fn>
+void Message::ForEachExtent(Fn&& fn) const {
+  if (!root_) {
+    return;
+  }
+  // Explicit stack: messages can be deep chains of concatenations.
+  InlineVec<const Node*, kInlineWalkDepth> stack;
+  stack.push_back(root_.get());
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    if (n->left) {
+      stack.push_back(n->right.get());
+      stack.push_back(n->left.get());
+    } else if (n->extent.len > 0 && !Visit(fn, n->extent)) {
+      return;
+    }
+  }
+}
+
+template <typename Fn>
+void Message::ForEachFbuf(Fn&& fn) const {
+  InlineVec<Fbuf*, kInlineFbufs> seen;
+  ForEachExtent([&](const Extent& e) {
+    if (e.fb == nullptr || std::find(seen.begin(), seen.end(), e.fb) != seen.end()) {
+      return true;
+    }
+    seen.push_back(e.fb);
+    return Visit(fn, e.fb);
+  });
+}
 
 }  // namespace fbufs
 

@@ -43,18 +43,14 @@ Status ProtocolStack::Deliver(const Message& m, Protocol* from, Protocol* to, bo
   TraceSpan span(machine_->trace(), TraceCategory::kIpc, "crossing", src.id(), dst.id());
   LayerScope layer(machine_->attribution(), CostDomain::kProto);
   ActorScope actor(machine_->attribution(), src.id());
-  const std::vector<Fbuf*> fbufs = m.Fbufs();
   if (!config_.integrated) {
     // Steps 2a/3c of the base mechanism: build the fbuf list in the sender,
     // rebuild the aggregate in the receiver.
-    machine_->clock().Advance(2 * fbufs.size() * machine_->costs().fbuf_list_marshal_ns);
+    machine_->clock().Advance(2 * CountFbufs(m) * machine_->costs().fbuf_list_marshal_ns);
   }
-  const bool lazy = !to->touches_body();
-  for (Fbuf* fb : fbufs) {
-    const Status st = fsys_->Transfer(fb, src, dst, lazy);
-    if (!Ok(st)) {
-      return st;
-    }
+  const Status tst = TransferMessage(m, src, dst, !to->touches_body());
+  if (!Ok(tst)) {
+    return tst;
   }
   if (domain_count_ > 2) {
     // §4: a third domain on the path thrashes TLB and instruction cache
@@ -71,9 +67,11 @@ Status ProtocolStack::Deliver(const Message& m, Protocol* from, Protocol* to, bo
 Status ProtocolStack::DeliverRinged(const Message& m, Protocol* to, bool down,
                                     Domain& src, Domain& dst,
                                     TransferRing& ring) {
-  const std::vector<Fbuf*> fbufs = m.Fbufs();
-  const AttrPathId path =
-      fbufs.empty() ? kAttrNoPath : static_cast<AttrPathId>(fbufs.front()->path);
+  AttrPathId path = kAttrNoPath;
+  m.ForEachFbuf([&path](Fbuf* fb) {
+    path = static_cast<AttrPathId>(fb->path);
+    return false;  // the first fbuf names the path
+  });
   {
     // Producer-side half of the proxy edge: marshal (if non-integrated) and
     // the eager reference transfers happen at submit, exactly as on the sync
@@ -82,15 +80,12 @@ Status ProtocolStack::DeliverRinged(const Message& m, Protocol* to, bool down,
     LayerScope layer(machine_->attribution(), CostDomain::kProto);
     ActorScope actor(machine_->attribution(), src.id());
     if (!config_.integrated) {
-      machine_->clock().Advance(2 * fbufs.size() *
+      machine_->clock().Advance(2 * CountFbufs(m) *
                                 machine_->costs().fbuf_list_marshal_ns);
     }
-    const bool lazy = !to->touches_body();
-    for (Fbuf* fb : fbufs) {
-      const Status st = fsys_->Transfer(fb, src, dst, lazy);
-      if (!Ok(st)) {
-        return st;
-      }
+    const Status st = TransferMessage(m, src, dst, !to->touches_body());
+    if (!Ok(st)) {
+      return st;
     }
     if (domain_count_ > 2) {
       machine_->clock().Advance((domain_count_ - 2) *
@@ -104,10 +99,10 @@ Status ProtocolStack::DeliverRinged(const Message& m, Protocol* to, bool down,
         LayerScope layer(machine_->attribution(), CostDomain::kProto);
         ActorScope actor(machine_->attribution(), dstp->id());
         if (machine_->lifecycle() != nullptr) {
-          for (Fbuf* fb : m.Fbufs()) {
+          m.ForEachFbuf([this, dstp](Fbuf* fb) {
             machine_->lifecycle()->Hop(fb->id, HopKind::kRingDeliver,
                                        dstp->id(), "ring");
-          }
+          });
         }
         const Status st = down ? to->Push(m) : to->Pop(m);
         const Status free_st = FreeMessage(m, *dstp);
@@ -126,32 +121,46 @@ Status ProtocolStack::DeliverRinged(const Message& m, Protocol* to, bool down,
     return sub;
   }
   if (machine_->lifecycle() != nullptr) {
-    for (Fbuf* fb : fbufs) {
+    m.ForEachFbuf([&](Fbuf* fb) {
       machine_->lifecycle()->Hop(fb->id, HopKind::kRingSubmit, src.id(), "ring",
                                  dst.id());
-    }
+    });
   }
   return Status::kOk;
+}
+
+std::size_t ProtocolStack::CountFbufs(const Message& m) {
+  std::size_t n = 0;
+  m.ForEachFbuf([&n](Fbuf*) { n++; });
+  return n;
+}
+
+Status ProtocolStack::TransferMessage(const Message& m, Domain& src, Domain& dst,
+                                      bool lazy) {
+  Status st = Status::kOk;
+  m.ForEachFbuf([&](Fbuf* fb) {
+    st = fsys_->Transfer(fb, src, dst, lazy);
+    return Ok(st);
+  });
+  return st;
 }
 
 Status ProtocolStack::FreeMessage(const Message& m, Domain& d) {
-  for (Fbuf* fb : m.Fbufs()) {
-    const Status st = fsys_->Free(fb, d);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-  return Status::kOk;
+  Status st = Status::kOk;
+  m.ForEachFbuf([&](Fbuf* fb) {
+    st = fsys_->Free(fb, d);
+    return Ok(st);
+  });
+  return st;
 }
 
 Status ProtocolStack::RetainMessage(const Message& m, Domain& d) {
-  for (Fbuf* fb : m.Fbufs()) {
-    const Status st = fsys_->AddRef(fb, d);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-  return Status::kOk;
+  Status st = Status::kOk;
+  m.ForEachFbuf([&](Fbuf* fb) {
+    st = fsys_->AddRef(fb, d);
+    return Ok(st);
+  });
+  return st;
 }
 
 }  // namespace fbufs

@@ -125,6 +125,10 @@ class ProtocolStack {
  private:
   Status DeliverRinged(const Message& m, Protocol* to, bool down, Domain& src,
                        Domain& dst, class TransferRing& ring);
+  static std::size_t CountFbufs(const Message& m);
+  // Transfers |src|'s reference on every distinct fbuf of |m| to |dst|,
+  // stopping at the first failure.
+  Status TransferMessage(const Message& m, Domain& src, Domain& dst, bool lazy);
 
   Machine* machine_;
   FbufSystem* fsys_;

@@ -114,7 +114,7 @@ void TransferRing::ArmFlushTimer() {
     return;
   }
   flush_timer_armed_ = true;
-  loop_->Schedule(KeyNow() + cfg_.flush_delay_ns, "ring-flush/" + name_,
+  loop_->Schedule(KeyNow() + cfg_.flush_delay_ns, EventLabel("ring-flush/", name_),
                   [this] {
                     flush_timer_armed_ = false;
                     if (!dead_ && state_ == State::kIdle && !SqEmpty()) {
@@ -169,10 +169,9 @@ void TransferRing::ScheduleDrain(SimTime ready) {
   drain_scheduled_ = true;
   Dispatcher* d = rpc_->dispatcher();
   if (d != nullptr && machine_->num_cpus() > 1) {
-    d->RunInDomain(consumer_, ready, "ring-drain/" + name_,
-                   [this] { DrainPass(); });
+    d->RunInDomain(consumer_, ready, [this] { DrainPass(); });
   } else {
-    loop_->Schedule(std::max(ready, KeyNow()), "ring-drain/" + name_,
+    loop_->Schedule(std::max(ready, KeyNow()), EventLabel("ring-drain/", name_),
                     [this] { DrainPass(); });
   }
 }
@@ -239,9 +238,9 @@ void TransferRing::ScheduleCompletions(std::vector<Completion> batch,
   };
   Dispatcher* d = rpc_->dispatcher();
   if (d != nullptr && machine_->num_cpus() > 1) {
-    d->RunInDomain(producer_, ready, "ring-complete/" + name_, std::move(run));
+    d->RunInDomain(producer_, ready, std::move(run));
   } else {
-    loop_->Schedule(std::max(ready, KeyNow()), "ring-complete/" + name_,
+    loop_->Schedule(std::max(ready, KeyNow()), EventLabel("ring-complete/", name_),
                     std::move(run));
   }
 }

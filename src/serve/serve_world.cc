@@ -104,7 +104,7 @@ ServeRunStats ServeWorld::Run(const std::vector<ServeRequestSpec>& schedule) {
   const SimTime t_start = loop_.Now();
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const ServeRequestSpec spec = schedule[i];
-    loop_.Schedule(Key(spec.at), "arrive/" + std::to_string(i),
+    loop_.Schedule(Key(spec.at), EventLabel("arrive/", i),
                    [this, spec] { Arrive(spec); });
   }
   // Drain to quiescence. With rings a quiescent point can still hold
@@ -327,7 +327,7 @@ void ServeWorld::WirePdu(std::uint64_t id, SimHost::StagedPdu pdu) {
     // DMA — the PDU's whole time on the network path.
     lat_.wire.push_back(rx_dma_done - pdu.ready);
   }
-  loop_.Schedule(Key(rx_dma_done), "deliver/" + std::to_string(id),
+  loop_.Schedule(Key(rx_dma_done), EventLabel("deliver/", id),
                  [this, id, payload = std::move(pdu.payload),
                   rx_dma_done]() mutable {
                    DeliverPduEvent(id, std::move(payload), rx_dma_done);
@@ -434,8 +434,8 @@ void ServeWorld::ScheduleNotice(std::uint64_t id, bool failed) {
   // of latency, and only then do the server's pins drop.
   const SimTime at = Key(loop_.Now() + server().machine.costs().WireTime(48));
   loop_.Schedule(at,
-                 (failed ? std::string("abort-notice/")
-                         : std::string("dealloc-notice/")) + std::to_string(id),
+                 failed ? EventLabel("abort-notice/", id)
+                        : EventLabel("dealloc-notice/", id),
                  [this, id, failed] {
                    // kNotFound is fine: a serve that failed inside Pop
                    // already released its pins there.

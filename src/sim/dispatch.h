@@ -91,10 +91,8 @@ class DispatchQueue {
 
   // Enqueues |work|, ready to run at |ready| on the lane's timeline. The
   // queue drains itself through the event loop; callers never block.
-  void Enqueue(SimTime ready, std::string label, Work work, Done done = {},
-               WaitCb wait_cb = {}) {
-    items_.push_back(Item{ready, std::move(label), std::move(work), std::move(done),
-                          std::move(wait_cb)});
+  void Enqueue(SimTime ready, Work work, Done done = {}, WaitCb wait_cb = {}) {
+    items_.push_back(Item{ready, std::move(work), std::move(done), std::move(wait_cb)});
     enqueued_++;
     if (depth() > max_depth_) {
       max_depth_ = depth();
@@ -118,7 +116,6 @@ class DispatchQueue {
  private:
   struct Item {
     SimTime ready = 0;
-    std::string label;
     Work work;
     Done done;
     WaitCb wait_cb;
@@ -130,7 +127,7 @@ class DispatchQueue {
     // against the lane clock when the item actually runs. Clamp to the
     // loop's floor (lane timelines are only partially ordered).
     const SimTime at = std::max(ready, loop_->Now());
-    loop_->Schedule(at, "dispatch/" + name_, [this] { Pump(); });
+    loop_->Schedule(at, EventLabel("dispatch/", name_), [this] { Pump(); });
   }
 
   void Pump() {

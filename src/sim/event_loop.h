@@ -17,10 +17,11 @@
 #define SRC_SIM_EVENT_LOOP_H_
 
 #include <cassert>
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -28,10 +29,87 @@
 
 namespace fbufs {
 
+// An event's label, kept in a form that costs no heap allocation on the
+// per-event paths; its text is built only when a trace is recorded. The
+// four forms read as:
+//   EventLabel("pump")             -> "pump"
+//   EventLabel("send/", 3, 17)     -> "send/3/17"   (one or two integers)
+//   EventLabel("dispatch/", name)  -> "dispatch/" + name; |name| must outlive
+//                                     the event's dispatch
+//   EventLabel(std::string)        -> the string, owned
+// Literal forms take string literals only (their storage is static).
+class EventLabel {
+ public:
+  EventLabel() : EventLabel("") {}
+  template <std::size_t N>
+  EventLabel(const char (&lit)[N])  // NOLINT: implicit, like a string
+      : lit_(lit), lit_len_(N - 1) {}
+  template <std::size_t N>
+  EventLabel(const char (&lit)[N], std::uint64_t a)
+      : lit_(lit), lit_len_(N - 1), kind_(Kind::kInts), ints_(1), a_(a) {}
+  template <std::size_t N>
+  EventLabel(const char (&lit)[N], std::uint64_t a, std::uint64_t b)
+      : lit_(lit), lit_len_(N - 1), kind_(Kind::kInts), ints_(2), a_(a), b_(b) {}
+  template <std::size_t N>
+  EventLabel(const char (&lit)[N], const std::string& name)
+      : lit_(lit), lit_len_(N - 1), kind_(Kind::kName), name_(&name) {}
+  EventLabel(std::string text)  // NOLINT: implicit, Schedule takes strings
+      : kind_(Kind::kOwned), owned_(std::move(text)) {}
+
+  // Calls |sink(const char*, std::size_t)| on consecutive pieces of the text.
+  template <typename Sink>
+  void ForEachPiece(Sink&& sink) const {
+    switch (kind_) {
+      case Kind::kOwned:
+        sink(owned_.data(), owned_.size());
+        return;
+      case Kind::kName:
+        sink(lit_, lit_len_);
+        sink(name_->data(), name_->size());
+        return;
+      case Kind::kInts: {
+        sink(lit_, lit_len_);
+        char buf[20];
+        sink(buf, static_cast<std::size_t>(std::to_chars(buf, buf + sizeof(buf), a_).ptr - buf));
+        if (ints_ == 2) {
+          sink("/", 1);
+          sink(buf, static_cast<std::size_t>(std::to_chars(buf, buf + sizeof(buf), b_).ptr - buf));
+        }
+        return;
+      }
+      case Kind::kLiteral:
+        sink(lit_, lit_len_);
+        return;
+    }
+  }
+
+  std::string Text() const {
+    std::string out;
+    ForEachPiece([&out](const char* p, std::size_t n) { out.append(p, n); });
+    return out;
+  }
+
+ private:
+  enum class Kind : std::uint8_t { kLiteral, kInts, kName, kOwned };
+
+  const char* lit_ = "";
+  std::uint32_t lit_len_ = 0;
+  Kind kind_ = Kind::kLiteral;
+  std::uint8_t ints_ = 0;
+  std::uint64_t a_ = 0;
+  std::uint64_t b_ = 0;
+  const std::string* name_ = nullptr;
+  std::string owned_;
+};
+
 class EventLoop {
  public:
   using Handler = std::function<void()>;
+  // Encodes the event's slot (low kSlotBits) and its sequence number (the
+  // bits above), so an id whose event has finished never matches the
+  // slot's next occupant.
   using EventId = std::uint64_t;
+  static constexpr unsigned kSlotBits = 24;
 
   struct TraceEntry {
     SimTime time = 0;
@@ -50,8 +128,8 @@ class EventLoop {
 
   // Schedules |fn| to run at |t|. The queue is monotonic: scheduling behind
   // the dispatch floor is a bug in the caller's timeline arithmetic.
-  EventId Schedule(SimTime t, std::string label, Handler fn);
-  EventId ScheduleIn(SimTime delay, std::string label, Handler fn) {
+  EventId Schedule(SimTime t, EventLabel label, Handler fn);
+  EventId ScheduleIn(SimTime delay, EventLabel label, Handler fn) {
     return Schedule(now_ + delay, std::move(label), std::move(fn));
   }
 
@@ -59,7 +137,8 @@ class EventLoop {
   // yet been dispatched; a cancelled event never dispatches, never enters the
   // trace (or the trace hash), and does not count as dispatched. Re-armed
   // timers (SWP's RTO) and drained queues cancel instead of letting stale
-  // events fire as no-ops.
+  // events fire as no-ops. The handler is destroyed once the cancelled
+  // event reaches the head of the queue.
   bool Cancel(EventId id);
 
   // Dispatches the earliest pending event. Returns false when the queue is
@@ -75,7 +154,7 @@ class EventLoop {
 
   bool empty() const { return pending() == 0; }
   // Cancelled events still sitting in the queue do not count as pending.
-  std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+  std::size_t pending() const { return queue_.size() - cancelled_pending_; }
   std::uint64_t events_dispatched() const { return dispatched_; }
   std::uint64_t events_cancelled() const { return cancelled_total_; }
 
@@ -84,34 +163,47 @@ class EventLoop {
   // benches' sim_throughput sections). Monotonic over the process lifetime.
   static std::uint64_t TotalDispatched();
 
-  // FNV-1a over (time, seq, label) of every dispatched event.
+  // FNV-1a over (time, seq, label text) of every dispatched event.
   std::uint64_t trace_hash() const { return trace_hash_; }
 
   void set_record_trace(bool on) { record_trace_ = on; }
   const std::vector<TraceEntry>& trace() const { return trace_; }
 
  private:
-  struct Event {
+  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+  static constexpr std::uint64_t kFreeSeq = ~0ull;
+
+  // The heap holds plain keys; everything else about a pending event sits in
+  // its slot. A slot is owned by exactly one key from Schedule until that
+  // key leaves the heap, then goes back on the free list.
+  struct Key {
     SimTime time = 0;
     std::uint64_t seq = 0;
-    std::string label;
-    Handler fn;
+    std::uint32_t slot = 0;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
+  struct Slot {
+    EventLabel label;
+    Handler fn;
+    std::uint64_t seq = kFreeSeq;  // kFreeSeq while on the free list
+    bool cancelled = false;
+  };
 
-  void HashDispatch(const Event& e);
+  void HashDispatch(const Key& k, const EventLabel& label);
+  void ReleaseSlot(std::uint32_t slot);
   // Discards cancelled events from the queue head so callers see live state.
   void PurgeCancelledTop();
 
   // A binary heap under Later (std::push_heap/pop_heap): the earliest event
-  // sits at front(), and pop_heap parks it at back() to be moved out.
-  std::vector<Event> queue_;
-  std::unordered_set<EventId> live_;       // scheduled, not yet dispatched
-  std::unordered_set<EventId> cancelled_;  // cancelled, still in the queue
+  // sits at front(), and pop_heap parks it at back().
+  std::vector<Key> queue_;
+  std::vector<Slot> slots_;  // grows to the peak number of queued events
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t cancelled_pending_ = 0;  // cancelled, still in the queue
   std::uint64_t cancelled_total_ = 0;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

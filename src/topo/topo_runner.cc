@@ -34,7 +34,7 @@ void TopologyRunner::ScheduleSenderStep(std::size_t flow) {
   step_pending_[flow] = true;
   SimHost& tx = TxHost(flow);
   loop_->Schedule(Key(tx.machine.cpu_clock(run.tx_cpu).Now()),
-                  "send/" + std::to_string(flow) + "/" + std::to_string(run.next),
+                  EventLabel("send/", flow, run.next),
                   [this, flow] {
                     step_pending_[flow] = false;
                     SenderStep(flow);
@@ -120,14 +120,14 @@ void TopologyRunner::RunLeg(std::size_t flow, std::size_t leg_i,
   if (leg_i + 1 == f.legs.size()) {
     loop_->Schedule(
         Key(rx_dma_done),
-        "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
+        EventLabel("deliver/", flow, msg),
         [this, flow, msg, payload = std::move(pdu.payload), rx_dma_done]() mutable {
           DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
         });
   } else {
     loop_->Schedule(
         Key(rx_dma_done),
-        "relay/" + std::to_string(flow) + "/" + std::to_string(msg),
+        EventLabel("relay/", flow, msg),
         [this, flow, leg_i, msg, payload = std::move(pdu.payload),
          rx_dma_done]() mutable {
           RelayEvent(flow, leg_i, msg, std::move(payload), rx_dma_done);
@@ -154,7 +154,6 @@ void TopologyRunner::DeliverEvent(std::size_t flow, std::uint64_t msg,
   // serialized behind other flows hashed to the same lane.
   rx.dispatcher->RunOnCpu(
       runs_[flow].rx_cpu, rx_dma_done,
-      "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
       [this, flow, msg, payload = std::move(payload)]() mutable {
         if (!runs_[flow].failed) {
           Receive(flow, msg, std::move(payload));
@@ -258,7 +257,7 @@ void TopologyRunner::CompleteMessage(std::size_t flow, std::uint64_t msg) {
   const SimTime ack_t = rx_clock.Now() + rx.machine.costs().WireTime(48);
   run.completed++;
   loop_->Schedule(Key(ack_t),
-                  "ack/" + std::to_string(flow) + "/" + std::to_string(msg),
+                  EventLabel("ack/", flow, msg),
                   [this, flow, msg, ack_t] {
                     FlowRun& r = runs_[flow];
                     r.ack_time[msg] = ack_t;

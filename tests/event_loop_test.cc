@@ -83,6 +83,77 @@ TEST(EventLoop, CancelAfterDispatchOrOfUnknownIdFails) {
   EXPECT_FALSE(loop.Cancel(id + 1000));  // never scheduled
 }
 
+TEST(EventLoop, StaleIdCannotCancelTheEventReusingItsSlot) {
+  constexpr std::uint64_t kSlotMask = (1ull << EventLoop::kSlotBits) - 1;
+  EventLoop loop;
+  int fired = 0;
+  const EventLoop::EventId first = loop.Schedule(5, "first", [&] { fired += 1; });
+  loop.Run();
+  // The dispatched event's slot is free again; the next event takes it.
+  const EventLoop::EventId second = loop.Schedule(10, "second", [&] { fired += 10; });
+  ASSERT_EQ(first & kSlotMask, second & kSlotMask);
+  EXPECT_FALSE(loop.Cancel(first));
+  EXPECT_EQ(loop.pending(), 1u);
+  // A cancelled event's slot is reused only once the event is purged, and
+  // its id stays dead afterwards too.
+  const EventLoop::EventId third = loop.Schedule(10, "third", [&] { fired += 100; });
+  EXPECT_TRUE(loop.Cancel(third));
+  loop.Run();
+  EXPECT_EQ(fired, 11);
+  const EventLoop::EventId fourth = loop.Schedule(20, "fourth", [&] { fired += 1000; });
+  EXPECT_FALSE(loop.Cancel(third));
+  EXPECT_FALSE(loop.Cancel(second));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.Run();
+  EXPECT_EQ(fired, 1011);
+  EXPECT_FALSE(loop.Cancel(fourth));
+  EXPECT_EQ(loop.events_cancelled(), 1u);
+}
+
+TEST(EventLoop, LazyLabelsHashAndTraceLikeTheirText) {
+  const std::string name = "host/cpu1";
+  EventLoop lazy;
+  EventLoop text;
+  lazy.set_record_trace(true);
+  text.set_record_trace(true);
+  const std::vector<std::string> want = {
+      "pump", "arrive/42", "send/3/17", "dispatch/host/cpu1",
+      "x/0/18446744073709551615", "owned/label"};
+  lazy.Schedule(1, "pump", [] {});
+  lazy.Schedule(2, EventLabel("arrive/", 42), [] {});
+  lazy.Schedule(2, EventLabel("send/", 3, 17), [] {});
+  lazy.Schedule(3, EventLabel("dispatch/", name), [] {});
+  lazy.Schedule(4, EventLabel("x/", 0, ~0ull), [] {});
+  lazy.Schedule(5, std::string("owned/label"), [] {});
+  SimTime t = 1;
+  for (const std::string& label : want) {
+    text.Schedule(t, label, [] {});
+    t += (label == "arrive/42") ? 0 : 1;
+  }
+  lazy.Run();
+  text.Run();
+  ASSERT_EQ(lazy.trace().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(lazy.trace()[i].label, want[i]);
+  }
+  EXPECT_TRUE(lazy.trace() == text.trace());
+  EXPECT_EQ(lazy.trace_hash(), text.trace_hash());
+  // The hash is FNV-1a over each event's (time, seq, label text) bytes.
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* data, std::size_t len) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      h = (h ^ p[i]) * 1099511628211ull;
+    }
+  };
+  for (const EventLoop::TraceEntry& e : text.trace()) {
+    mix(&e.time, sizeof(e.time));
+    mix(&e.seq, sizeof(e.seq));
+    mix(e.label.data(), e.label.size());
+  }
+  EXPECT_EQ(lazy.trace_hash(), h);
+}
+
 TEST(EventLoop, CancelledEventsStayOutOfTraceAndHash) {
   // Two loops schedule the same live events; one also schedules-and-cancels
   // an extra event. Trace and hash must be identical: cancellation leaves no

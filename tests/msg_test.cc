@@ -209,5 +209,45 @@ TEST_F(MsgTest, DeepConcatChainHandled) {
   EXPECT_EQ(data[999], static_cast<std::uint8_t>(999));
 }
 
+TEST_F(MsgTest, SliceAcrossManyExtentsKeepsBytesAndShape) {
+  // 40 one-fbuf leaves; a slice spanning 30 of them outgrows Slice's inline
+  // extent array and must still produce the right-folded 2k-1 node chain.
+  Message m;
+  std::vector<Fbuf*> fbs;
+  for (int i = 0; i < 40; ++i) {
+    fbs.push_back(Filled(10, static_cast<std::uint8_t>(i * 10)));
+    m = Message::Concat(m, Message::Whole(fbs.back()));
+  }
+  const auto whole = Read(m, *src_);
+  const Message s = m.Slice(5, 290);  // 5 bytes into leaf 0 .. 5 into leaf 29
+  const std::size_t k = 30;
+  EXPECT_EQ(s.Extents().size(), k);
+  EXPECT_EQ(s.NodeCount(), 2 * k - 1);
+  const auto got = Read(s, *src_);
+  EXPECT_EQ(got, std::vector<std::uint8_t>(whole.begin() + 5, whole.begin() + 295));
+  // Distinct fbufs past the walk's inline seen-set keep first-appearance order.
+  EXPECT_EQ(m.Fbufs(), fbs);
+  const Message twice = Message::Concat(m, m);
+  EXPECT_EQ(twice.Fbufs(), fbs);
+}
+
+TEST_F(MsgTest, WalksStopWhenTheVisitorReturnsFalse) {
+  Fbuf* a = Filled(10, 0);
+  Fbuf* b = Filled(10, 1);
+  const Message m = Message::Concat(Message::Whole(a), Message::Whole(b));
+  int extents = 0;
+  m.ForEachExtent([&extents](const Extent&) {
+    extents++;
+    return false;
+  });
+  EXPECT_EQ(extents, 1);
+  std::vector<Fbuf*> seen;
+  m.ForEachFbuf([&seen](Fbuf* fb) {
+    seen.push_back(fb);
+    return false;
+  });
+  EXPECT_EQ(seen, std::vector<Fbuf*>{a});
+}
+
 }  // namespace
 }  // namespace fbufs

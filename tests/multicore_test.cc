@@ -47,7 +47,7 @@ TEST(DispatchQueue, SecondItemWaitsForTheLane) {
   // second can only start when the lane frees, so its queueing delay is
   // exactly the first item's service time.
   for (int i = 0; i < 2; ++i) {
-    q.Enqueue(0, "item", [&] { lane.clock().Advance(1000); },
+    q.Enqueue(0, [&] { lane.clock().Advance(1000); },
               [&](SimTime t) { done_at.push_back(t); });
   }
   loop.Run();
@@ -65,7 +65,7 @@ TEST(DispatchQueue, ReadyTimeIsHonored) {
   CpuLane lane("lane", 0);
   DispatchQueue q(&loop, &lane, "q");
   SimTime started = 0;
-  q.Enqueue(500, "late", [&] { started = lane.clock().Now(); });
+  q.Enqueue(500, [&] { started = lane.clock().Now(); });
   loop.Run();
   // The lane idles until the item's ready time; no wait is recorded.
   EXPECT_EQ(started, 500u);
@@ -159,7 +159,7 @@ TEST(Dispatcher, DomainQueueSerializesSharedLane) {
   const std::uint32_t cpu = disp.CpuForDomain(d->id());
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
-    disp.RunInDomain(d->id(), 0, "w" + std::to_string(i), [&, i] {
+    disp.RunInDomain(d->id(), 0, [&, i] {
       order.push_back(i);
       m.clock().Advance(100);
     });

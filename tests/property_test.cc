@@ -2,6 +2,7 @@
 // simple reference models, parameterized over seeds (TEST_P sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -108,6 +109,18 @@ TEST_P(MessageAlgebraTest, MatchesReferenceModel) {
       ASSERT_EQ(p.msg.CopyOut(*d, 0, got.data(), got.size()), Status::kOk);
     }
     EXPECT_EQ(got, p.model);
+    // The distinct-fbuf walk matches a reference built from the extents:
+    // first-appearance order, absent leaves skipped.
+    std::vector<Fbuf*> want;
+    for (const Extent& e : p.msg.Extents()) {
+      if (e.fb != nullptr && std::find(want.begin(), want.end(), e.fb) == want.end()) {
+        want.push_back(e.fb);
+      }
+    }
+    EXPECT_EQ(p.msg.Fbufs(), want);
+    std::vector<Fbuf*> walked;
+    p.msg.ForEachFbuf([&walked](Fbuf* fb) { walked.push_back(fb); });
+    EXPECT_EQ(walked, want);
   }
 }
 
