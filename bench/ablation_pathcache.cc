@@ -82,8 +82,7 @@ double PerPduUs(std::uint32_t vcis, std::string* attr_json = nullptr) {
     rx.driver->DeliverPdu(payload, 100 + (i % vcis), true);
   }
   if (attr_json != nullptr) {
-    *attr_json = "{\n    \"receiver\": " + TimeAttributionJson(rx.machine) +
-                 "\n  }";
+    *attr_json = KeyedSectionJson({{"receiver", TimeAttributionJson(rx.machine)}});
   }
   return (rx.machine.clock().Now() - before) / 1000.0 / kIters;
 }

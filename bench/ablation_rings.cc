@@ -176,11 +176,7 @@ PointResult RunPoint(Mode mode, std::uint32_t batch, std::uint64_t size,
     ex.AddCounterTracks("metrics/rings", 9000, metrics, machine.ElapsedNs());
     ex.AddLaneConservation("cpu/" + machine.name(),
                            machine.attribution().ByCpu(0), machine.ElapsedNs());
-    const std::string path = "TRACE_ablation_rings.json";
-    if (ex.WriteFile(path)) {
-      std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                   ex.event_count());
-    }
+    WriteTrace("ablation_rings", ex);
     machine.AttachMetrics(nullptr);
   }
   return p;

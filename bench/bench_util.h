@@ -12,12 +12,15 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/baseline/transfer_facility.h"
 #include "src/fbuf/fbuf_system.h"
 #include "src/ipc/rpc.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace_export.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/rng.h"
 #include "src/vm/machine.h"
@@ -248,16 +251,16 @@ class JsonReport {
     return *this;
   }
   JsonReport& Field(const std::string& key, double value) {
-    rows_.back().push_back(Entry{key, /*is_number=*/true, value, {}});
+    rows_.back().emplace_back(key, value);
     return *this;
   }
   JsonReport& Field(const std::string& key, const std::string& value) {
-    rows_.back().push_back(Entry{key, /*is_number=*/false, 0, value});
+    rows_.back().emplace_back(key, value);
     return *this;
   }
 
-  // Extra top-level section emitted after "rows". |raw_json| must already be
-  // valid JSON (object, array or scalar); it is written verbatim.
+  // Extra top-level section emitted after "rows". |raw_json| must be a
+  // complete value rendered by a JsonWriter; it is written verbatim.
   JsonReport& RawSection(const std::string& key, std::string raw_json) {
     sections_.emplace_back(key, std::move(raw_json));
     return *this;
@@ -266,67 +269,58 @@ class JsonReport {
   // Writes BENCH_<name>.json in the working directory.
   bool Write() const {
     const std::string path = "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    if (!WriteTextFile(path, ToJson())) {
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", name_.c_str());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      std::fprintf(f, "    {");
-      for (std::size_t i = 0; i < rows_[r].size(); ++i) {
-        const Entry& e = rows_[r][i];
-        std::fprintf(f, "%s\"%s\": ", i == 0 ? "" : ", ", e.key.c_str());
-        if (e.is_number) {
-          if (e.num == e.num) {  // not NaN
-            std::fprintf(f, "%.10g", e.num);
-          } else {
-            std::fprintf(f, "null");
-          }
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
+    return true;
+  }
+
+ private:
+  // The whole document, ending in a newline.
+  std::string ToJson() const {
+    JsonWriter w;
+    w.BeginObject().Break(2).Key("bench").String(name_);
+    w.Break(2).Key("rows").BeginArray();
+    for (const auto& row : rows_) {
+      w.Break(4).BeginObject();
+      for (const auto& [key, value] : row) {
+        w.Key(key);
+        if (const double* num = std::get_if<double>(&value)) {
+          w.Number(*num);
         } else {
-          std::fprintf(f, "\"%s\"", e.str.c_str());
+          w.String(std::get<std::string>(value));
         }
       }
-      std::fprintf(f, "}%s\n", r + 1 < rows_.size() ? "," : "");
+      w.EndObject();
     }
-    std::fprintf(f, "  ]");
+    w.Break(2).EndArray();
     for (const auto& [key, raw] : sections_) {
-      std::fprintf(f, ",\n  \"%s\": %s", key.c_str(), raw.c_str());
+      w.Break(2).Key(key).Raw(raw);
     }
     // Simulator self-throughput: host wall-clock and event-loop dispatch
     // rate since this report was constructed. Nondeterministic by nature, so
     // it is confined to one line — with the separating comma ON that line —
     // such that CI's strip (grep -v) leaves a file byte-identical to one
     // written without the section at all.
-    {
-      const double wall_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start_)
-              .count();
-      const std::uint64_t events = EventLoop::TotalDispatched() - events_start_;
-      const double per_sec =
-          wall_ms > 0.0 ? static_cast<double>(events) * 1000.0 / wall_ms : 0.0;
-      std::fprintf(f,
-                   "\n  ,\"sim_throughput\": {\"host_wall_ms\": %.3f, "
-                   "\"events_dispatched\": %llu, \"events_per_sec\": %.6g}",
-                   wall_ms, static_cast<unsigned long long>(events), per_sec);
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-    return true;
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - wall_start_)
+                               .count();
+    const std::uint64_t events = EventLoop::TotalDispatched() - events_start_;
+    const double per_sec =
+        wall_ms > 0.0 ? static_cast<double>(events) * 1000.0 / wall_ms : 0.0;
+    w.LeadingCommaBreak(2).Key("sim_throughput").BeginObject();
+    w.Key("host_wall_ms")
+        .Thousandths(static_cast<std::uint64_t>(std::llround(wall_ms * 1000.0)));
+    w.Key("events_dispatched").Number(events);
+    w.Key("events_per_sec").Number(per_sec).EndObject();
+    return w.Break(0).EndObject().Take() + "\n";
   }
 
- private:
-  struct Entry {
-    std::string key;
-    bool is_number;
-    double num;
-    std::string str;
-  };
   std::string name_;
   std::chrono::steady_clock::time_point wall_start_;
   std::uint64_t events_start_;
-  std::vector<std::vector<Entry>> rows_;
+  std::vector<std::vector<std::pair<std::string, std::variant<double, std::string>>>> rows_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
 
@@ -384,21 +378,18 @@ inline std::string TimeAttributionJson(Machine& m,
                  static_cast<unsigned long long>(now));
     std::abort();
   }
-  std::string out = "{\n    \"clock_ns\": " + std::to_string(now) +
-                    ",\n    \"attributed_ns\": " + std::to_string(attr.total()) +
-                    ",\n    \"by_layer\": {";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Break(4).Key("clock_ns").Number(now);
+  w.Break(4).Key("attributed_ns").Number(attr.total());
+  w.Break(4).Key("by_layer").BeginObject();
   for (int i = 0; i < static_cast<int>(CostDomain::kCount); ++i) {
     const CostDomain d = static_cast<CostDomain>(i);
     const SimTime ns = attr.ByLayer(d);
-    if (ns == 0) {
-      continue;
+    if (ns != 0) {
+      w.Key(CostDomainName(d)).Number(ns);
     }
-    out += first ? "" : ", ";
-    out += "\"" + std::string(CostDomainName(d)) + "\": " + std::to_string(ns);
-    first = false;
   }
-  out += "}";
+  w.EndObject();
   if (opts.per_path) {
     // Collect the distinct paths from the cell map (already path-sorted
     // within a layer, so gather into an ordered set for determinism).
@@ -430,33 +421,28 @@ inline std::string TimeAttributionJson(Machine& m,
       auto it = m->find(p);
       return it == m->end() ? 0 : it->second;
     };
-    out += ",\n    \"by_path\": {";
-    first = true;
+    w.Break(4).Key("by_path").BeginObject();
     for (const auto& [p, ns] : by_path) {
       const SimTime wait = slice_of(opts.per_path_dispatch_wait, p);
       const SimTime occ = slice_of(opts.per_path_ring_occupancy, p);
       if (ns == 0 && wait == 0 && occ == 0) {
         continue;
       }
-      out += first ? "" : ", ";
-      out += "\"" +
-             (p == kAttrNoPath ? std::string("none") : std::to_string(p)) +
-             "\": ";
-      if (sliced) {
-        out += "{\"ns\": " + std::to_string(ns);
-        if (opts.per_path_dispatch_wait != nullptr) {
-          out += ", \"dispatch_wait_ns\": " + std::to_string(wait);
-        }
-        if (opts.per_path_ring_occupancy != nullptr) {
-          out += ", \"ring_occupancy_ns\": " + std::to_string(occ);
-        }
-        out += "}";
-      } else {
-        out += std::to_string(ns);
+      w.Key(p == kAttrNoPath ? std::string("none") : std::to_string(p));
+      if (!sliced) {
+        w.Number(ns);
+        continue;
       }
-      first = false;
+      w.BeginObject().Key("ns").Number(ns);
+      if (opts.per_path_dispatch_wait != nullptr) {
+        w.Key("dispatch_wait_ns").Number(wait);
+      }
+      if (opts.per_path_ring_occupancy != nullptr) {
+        w.Key("ring_occupancy_ns").Number(occ);
+      }
+      w.EndObject();
     }
-    out += "}";
+    w.EndObject();
   }
   if (opts.flows != nullptr) {
     // Regroup the path-keyed cells by flow. Paths claimed by two flows are
@@ -478,22 +464,17 @@ inline std::string TimeAttributionJson(Machine& m,
         per_flow[it->second] += ns;
       }
     }
-    out += ",\n    \"by_flow\": {";
-    first = true;
+    w.Break(4).Key("by_flow").BeginObject();
     for (std::size_t i = 0; i < opts.flows->size(); ++i) {
-      out += first ? "" : ", ";
-      out += "\"" + (*opts.flows)[i].first +
-             "\": " + std::to_string(per_flow[i]);
-      first = false;
+      w.Key((*opts.flows)[i].first).Number(per_flow[i]);
     }
     if (unclaimed != 0) {
-      out += first ? "" : ", ";
-      out += "\"none\": " + std::to_string(unclaimed);
+      w.Key("none").Number(unclaimed);
     }
-    out += "}";
+    w.EndObject();
   }
   if (opts.per_cpu) {
-    out += ",\n    \"by_cpu\": [";
+    w.Break(4).Key("by_cpu").BeginArray();
     for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
       const SimTime lane_ns = attr.ByCpu(c);
       const SimTime lane_clock = m.cpu_clock(c).Now();
@@ -506,41 +487,41 @@ inline std::string TimeAttributionJson(Machine& m,
             static_cast<unsigned long long>(lane_clock));
         std::abort();
       }
-      out += (c == 0 ? "" : ", ") + std::to_string(lane_ns);
+      w.Number(lane_ns);
     }
-    out += "]";
+    w.EndArray();
   }
   if (opts.dispatch_wait_ns >= 0) {
-    out += ",\n    \"dispatch_wait_ns\": " + std::to_string(opts.dispatch_wait_ns);
+    w.Break(4).Key("dispatch_wait_ns").Number(opts.dispatch_wait_ns);
   }
-  out += "\n  }";
-  return out;
+  return w.Break(2).EndObject().Take();
 }
 
-// The common case: attach the machine's whole-run attribution to a report.
-inline void AddTimeAttribution(JsonReport& report, Machine& m,
-                               const AttributionJsonOptions& opts = {}) {
-  report.RawSection("time_attribution", TimeAttributionJson(m, opts));
+// {"<key>": <fragment>, ...}, one member per line: the layout of the
+// time_attribution section of multi-host benches and of the
+// latency_decomposition section. Each fragment must come from a JsonWriter.
+inline std::string KeyedSectionJson(
+    const std::vector<std::pair<std::string, std::string>>& members) {
+  JsonWriter w;
+  w.BeginObject();
+  for (const auto& [key, json] : members) {
+    w.Break(4).Key(key).Raw(json);
+  }
+  return w.Break(2).EndObject().Take();
 }
 
-// Attaches the full metrics registry — counters, gauges, and every log2
-// histogram with its count/p50/p99 summary — as a "metrics" section.
-// MetricsRegistry::ToJson is deterministic (name-ordered, integers only), so
-// double runs of a deterministic bench still cmp byte-identical.
-inline void AddMetricsSummary(JsonReport& report, const MetricsRegistry& m) {
-  report.RawSection("metrics", m.ToJson());
+// Writes |ex|'s Chrome trace document as TRACE_<name>.json in the working
+// directory and notes it on stderr.
+inline void WriteTrace(const std::string& name, const TraceExporter& ex) {
+  const std::string path = "TRACE_" + name + ".json";
+  if (WriteTextFile(path, ex.ToJson())) {
+    std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
+                 ex.event_count());
+  }
 }
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
-}
-
-inline void PrintSeriesHeader(const std::vector<std::string>& columns) {
-  std::printf("%12s", "size");
-  for (const std::string& c : columns) {
-    std::printf("  %22s", c.c_str());
-  }
-  std::printf("\n");
 }
 
 }  // namespace bench

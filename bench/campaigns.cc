@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/fault/campaign.h"
 #include "src/fault/incast_world.h"
 #include "src/fault/swp_world.h"
@@ -243,14 +244,6 @@ void ArmTopologyCapture(BuiltTopology* b) {
   }
   for (LinkId l = 0; l < b->topo->link_count(); ++l) {
     b->topo->link(l).wire().set_record_intervals(true);
-  }
-}
-
-void WriteTrace(const std::string& name, const TraceExporter& ex) {
-  const std::string path = "TRACE_" + name + ".json";
-  if (ex.WriteFile(path)) {
-    std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                 ex.event_count());
   }
 }
 

@@ -32,9 +32,8 @@ MultiResult Run(bool cached, std::uint64_t pdu, std::string* attr_json = nullptr
     std::abort();
   }
   if (attr_json != nullptr) {
-    *attr_json = "{\n    \"receiver\": " +
-                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
-                 "\n  }";
+    *attr_json = KeyedSectionJson(
+        {{"receiver", TimeAttributionJson(b.topo->host(b.receiver_node)->machine)}});
   }
   return mr;
 }

@@ -70,9 +70,8 @@ SweepPoint RunPoint(const TopologyConfig& cfg,
   b.topo->host(b.receiver_node)->machine.AttachMetrics(&metrics);
   const MultiResult mr = b.runner->RunFlows(traffic);
   if (attr_json != nullptr) {
-    *attr_json = "{\n    \"receiver\": " +
-                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
-                 "\n  }";
+    *attr_json = KeyedSectionJson(
+        {{"receiver", TimeAttributionJson(b.topo->host(b.receiver_node)->machine)}});
   }
   if (metrics_json != nullptr) {
     *metrics_json = metrics.ToJson();

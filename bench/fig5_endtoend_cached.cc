@@ -34,11 +34,9 @@ double Run(StackPlacement p, std::uint64_t size, std::string* attr_json = nullpt
     std::abort();
   }
   if (attr_json != nullptr) {
-    *attr_json = "{\n    \"sender\": " +
-                 TimeAttributionJson(b.topo->host(b.sender_nodes[0])->machine) +
-                 ",\n    \"receiver\": " +
-                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
-                 "\n  }";
+    *attr_json = KeyedSectionJson(
+        {{"sender", TimeAttributionJson(b.topo->host(b.sender_nodes[0])->machine)},
+         {"receiver", TimeAttributionJson(b.topo->host(b.receiver_node)->machine)}});
   }
   return mr.flows[0].throughput_mbps;
 }

@@ -35,11 +35,9 @@ double Run(StackPlacement p, std::uint64_t size, bool kernel_baseline,
     std::abort();
   }
   if (attr_json != nullptr) {
-    *attr_json = "{\n    \"sender\": " +
-                 TimeAttributionJson(b.topo->host(b.sender_nodes[0])->machine) +
-                 ",\n    \"receiver\": " +
-                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
-                 "\n  }";
+    *attr_json = KeyedSectionJson(
+        {{"sender", TimeAttributionJson(b.topo->host(b.sender_nodes[0])->machine)},
+         {"receiver", TimeAttributionJson(b.topo->host(b.receiver_node)->machine)}});
   }
   return mr.flows[0].throughput_mbps;
 }

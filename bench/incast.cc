@@ -199,10 +199,7 @@ PointResult RunPoint(TransportKind kind, std::uint32_t fanin, int messages,
     ex.AddResource(w.topo.switch_at(w.core_node())->port_resource(0));
     ex.AddCounterTracks("metrics/incast", 30, metrics, elapsed);
     ex.AddLifecycleFlows("lifecycle/incast", 31, lifecycle);
-    if (ex.WriteFile("TRACE_incast.json")) {
-      std::fprintf(stderr, "wrote TRACE_incast.json (%zu events)\n",
-                   ex.event_count());
-    }
+    WriteTrace("incast", ex);
   }
   // The tracker and registry die with this frame while the world's teardown
   // still frees fbufs — detach so destructors never chase a dead observer.
@@ -233,7 +230,8 @@ int Main(int argc, char** argv) {
 
   JsonReport json("incast");
   std::string attr_json;
-  std::string lat_section;  // {"<kind>_fanin<N>": {slices...}, ...}
+  // "<kind>_fanin<N>" -> that point's latency slices.
+  std::vector<std::pair<std::string, std::string>> latency;
   std::vector<std::vector<PointResult>> results(kinds.size());
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     for (const std::uint32_t fanin : fanins) {
@@ -267,14 +265,13 @@ int Main(int argc, char** argv) {
           .Field("audit_passed", r.audit_passed ? 1.0 : 0.0)
           .Field("journeys", static_cast<double>(r.journeys))
           .Field("journeys_ok", r.journeys_ok ? 1.0 : 0.0);
-      lat_section += (lat_section.empty() ? "{\n    " : ",\n    ");
-      lat_section += "\"" + std::string(TransportKindName(r.kind)) + "_fanin" +
-                     std::to_string(r.fanin) + "\": " + r.latency_json;
+      latency.emplace_back(std::string(TransportKindName(r.kind)) + "_fanin" +
+                               std::to_string(r.fanin),
+                           r.latency_json);
     }
   }
-  lat_section += "\n  }";
   json.RawSection("time_attribution", attr_json);
-  json.RawSection("latency_decomposition", lat_section);
+  json.RawSection("latency_decomposition", KeyedSectionJson(latency));
   json.Write();
 
   // --- Self-checks: collapse vs graceful degradation --------------------------

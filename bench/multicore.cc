@@ -138,7 +138,7 @@ SweepPoint RunPoint(std::size_t flows, std::uint32_t cpus,
   }
   const std::string attr = TimeAttributionJson(rx->machine, opts);
   if (artifacts != nullptr) {
-    artifacts->attribution_json = "{\n    \"receiver\": " + attr + "\n  }";
+    artifacts->attribution_json = KeyedSectionJson({{"receiver", attr}});
     artifacts->metrics_json = metrics.ToJson();
     if (artifacts->export_trace) {
       TraceExporter ex;
@@ -160,11 +160,7 @@ SweepPoint RunPoint(std::size_t flows, std::uint32_t cpus,
         ex.AddLaneConservation(
             "cpu/receiver/" + std::to_string(c), a.ByCpu(c), elapsed);
       }
-      const std::string path = "TRACE_multicore.json";
-      if (ex.WriteFile(path)) {
-        std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                     ex.event_count());
-      }
+      WriteTrace("multicore", ex);
     }
   }
   rx->machine.AttachMetrics(nullptr);

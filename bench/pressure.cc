@@ -120,7 +120,6 @@ PointResult RunPoint(std::uint64_t pool_frames, std::uint64_t headroom, std::uin
   // failure instead of an endless retry loop.
   FlowBackoff backoff;
   backoff.policy.initial = kMillisecond / 4;
-  backoff.policy.multiplier = 2;
   backoff.policy.cap = 2 * kMillisecond;
   backoff.stall_horizon = 250 * kMillisecond;
   backoff.last_progress = loop.Now();

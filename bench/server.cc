@@ -376,11 +376,7 @@ RowResult RunRow(const RowSpec& spec) {
     ex.AddCounterTracks("metrics/server", 30, metrics,
                         world.server().machine.ElapsedNs());
     ex.AddLifecycleFlows("lifecycle/server", 31, lifecycle);
-    const std::string path = "TRACE_server.json";
-    if (ex.WriteFile(path)) {
-      std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                   ex.event_count());
-    }
+    WriteTrace("server", ex);
   }
   // The tracker and registry die with this frame while the world's teardown
   // still frees fbufs — detach so destructors never chase a dead observer.
@@ -389,7 +385,8 @@ RowResult RunRow(const RowSpec& spec) {
   return r;
 }
 
-void Report(JsonReport& report, std::string& lat_section, const RowSpec& spec,
+void Report(JsonReport& report,
+            std::vector<std::pair<std::string, std::string>>& latency, const RowSpec& spec,
             const RowResult& r) {
   std::printf("%-14s %8llu %9llu %7llu %7llu %9.3f %9.1f %9.1f %10.1f %8.1f\n",
               spec.variant.c_str(),
@@ -424,8 +421,7 @@ void Report(JsonReport& report, std::string& lat_section, const RowSpec& spec,
              static_cast<double>(r.pin_blocked_evictions))
       .Field("journeys", static_cast<double>(r.journeys))
       .Field("aborted_journeys", static_cast<double>(r.aborted_journeys));
-  lat_section += (lat_section.empty() ? "{\n    " : ",\n    ");
-  lat_section += "\"" + spec.variant + "\": " + r.latency_json;
+  latency.emplace_back(spec.variant, r.latency_json);
 }
 
 int Main(int argc, char** argv) {
@@ -447,7 +443,8 @@ int Main(int argc, char** argv) {
 
   JsonReport report("server");
   std::string attribution_json;
-  std::string lat_section;  // {"<variant>": {slices...}, ...}
+  // "<variant>" -> that row's latency slices.
+  std::vector<std::pair<std::string, std::string>> latency;
 
   // Popularity sweep: the hit ratio (and with it latency and goodput) must
   // ride the Zipf exponent — steeper popularity concentrates the working
@@ -462,7 +459,7 @@ int Main(int argc, char** argv) {
     spec.workload.zipf_quarters = q;
     spec.clients = clients;
     const RowResult r = RunRow(spec);
-    Report(report, lat_section, spec, r);
+    Report(report, latency, spec, r);
     hit_monotone = hit_monotone && r.stats.hit_ratio > prev_hit;
     prev_hit = r.stats.hit_ratio;
     if (q == 4) {
@@ -487,7 +484,7 @@ int Main(int argc, char** argv) {
     // queued behind that, not wedged.
     spec.stall_horizon = (g_smoke ? 2000 : 30000) * kMillisecond;
     const RowResult r = RunRow(spec);
-    Report(report, lat_section, spec, r);
+    Report(report, latency, spec, r);
     if (r.stats.failed != 0) {
       std::fprintf(stderr, "server[rings]: %llu flows failed with no fault\n",
                    static_cast<unsigned long long>(r.stats.failed));
@@ -507,7 +504,7 @@ int Main(int argc, char** argv) {
     spec.max_inflight = 128;
     spec.tight_memory = true;
     spec.expect_copies = true;
-    Report(report, lat_section, spec, RunRow(spec));
+    Report(report, latency, spec, RunRow(spec));
   }
   {
     RowSpec spec;
@@ -517,7 +514,7 @@ int Main(int argc, char** argv) {
     spec.clients = clients;
     spec.fault = RowSpec::Fault::kLinkFlap;
     const RowResult r = RunRow(spec);
-    Report(report, lat_section, spec, r);
+    Report(report, latency, spec, r);
     if (r.stats.pdus_dropped == 0) {
       std::fprintf(stderr, "server[link-flap]: the flap dropped nothing\n");
       std::abort();
@@ -532,7 +529,7 @@ int Main(int argc, char** argv) {
     spec.fault = RowSpec::Fault::kClientChurn;
     spec.export_trace = true;
     const RowResult r = RunRow(spec);
-    Report(report, lat_section, spec, r);
+    Report(report, latency, spec, r);
     if (r.stats.failed == 0) {
       std::fprintf(stderr, "server[client-churn]: no flow failed\n");
       std::abort();
@@ -547,7 +544,7 @@ int Main(int argc, char** argv) {
       "without leaking a single pin or frame (§3.3 audit on every row).\n");
 
   report.RawSection("time_attribution", attribution_json);
-  report.RawSection("latency_decomposition", lat_section + "\n  }");
+  report.RawSection("latency_decomposition", KeyedSectionJson(latency));
   report.Write();
   return 0;
 }

@@ -10,10 +10,9 @@ FileCache::FileCache(FbufSystem* fsys, const FileCacheConfig& config)
   cache_path_ = fsys_->paths().Register({kernel_->id()});
 }
 
-void FileCache::TouchLru(const Key& key, CachedBlock& cb) {
-  lru_.erase(cb.lru_pos);
-  lru_.push_front(key);
-  cb.lru_pos = lru_.begin();
+void FileCache::TouchLru(CachedBlock& cb) {
+  // Move the node in place: no allocation, and |cb.lru_pos| stays valid.
+  lru_.splice(lru_.begin(), lru_, cb.lru_pos);
 }
 
 Status FileCache::FetchFromDisk(const Key& key, Message* out) {
@@ -111,7 +110,7 @@ Status FileCache::Read(FileId file, std::uint64_t block, Domain& reader, Message
     it = blocks_.emplace(key, CachedBlock{fetched, lru_.begin()}).first;
   } else {
     hits_++;
-    TouchLru(key, it->second);
+    TouchLru(it->second);
   }
   // Grant the reader references; read-only mappings are built on first use
   // and retained afterwards (the block's "path" warms per reader). A

@@ -123,7 +123,7 @@ class FileCache {
   // Why a block is being dropped; each reason has its own counter.
   enum class EvictReason { kCapacity, kOverwrite, kPressure };
 
-  void TouchLru(const Key& key, CachedBlock& cb);
+  void TouchLru(CachedBlock& cb);
   Status FetchFromDisk(const Key& key, Message* out);
   // Returns true if the block was resident, unpinned, and got dropped.
   bool Evict(const Key& key, EvictReason reason);

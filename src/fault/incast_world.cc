@@ -143,7 +143,6 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
       });
     }
     f->backoff.policy.initial = kParkInitial;
-    f->backoff.policy.multiplier = 2;
     f->backoff.policy.cap = kParkCap;
     f->backoff.stall_horizon = cfg.stall_horizon;
     flows_.push_back(std::move(f));

@@ -1,28 +1,10 @@
 #include "src/fault/report.h"
 
 #include <cstdio>
-#include <sstream>
+
+#include "src/obs/json.h"
 
 namespace fbufs {
-
-namespace {
-
-// Matches the BENCH_*.json number format exactly (%.10g) so campaign and
-// bench artifacts diff with the same tooling.
-std::string Num(double v) {
-  char buf[32];
-  if (v != v) {
-    return "null";
-  }
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string Num(std::uint64_t v) { return std::to_string(v); }
-
-std::string Bool(bool b) { return b ? "true" : "false"; }
-
-}  // namespace
 
 bool CampaignReport::audits_passed() const {
   if (audits_.empty()) {
@@ -37,105 +19,88 @@ bool CampaignReport::audits_passed() const {
 }
 
 std::string CampaignReport::ToJson() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"campaign\": \"" << name_ << "\",\n";
-  os << "  \"seed\": " << seed_ << ",\n";
-  os << "  \"schedule\": [\n";
-  for (std::size_t i = 0; i < schedule_.size(); ++i) {
-    const ScheduledFault& f = schedule_[i];
-    os << "    {\"label\": \"" << f.label << "\", \"kind\": \"" << f.kind
-       << "\", \"at_ns\": " << Num(f.at_ns)
-       << ", \"duration_ns\": " << Num(f.duration_ns)
-       << ", \"percent\": " << f.percent << "}"
-       << (i + 1 < schedule_.size() ? "," : "") << "\n";
+  JsonWriter w;
+  w.BeginObject();
+  w.Break(2).Key("campaign").String(name_);
+  w.Break(2).Key("seed").Number(seed_);
+  w.Break(2).Key("schedule").BeginArray();
+  for (const ScheduledFault& f : schedule_) {
+    w.Break(4).BeginObject().Key("label").String(f.label);
+    w.Key("kind").String(f.kind).Key("at_ns").Number(f.at_ns);
+    w.Key("duration_ns").Number(f.duration_ns).Key("percent").Number(f.percent);
+    w.EndObject();
   }
-  os << "  ],\n";
-  os << "  \"phases\": [\n";
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    const Phase& p = phases_[i];
-    os << "    {\"label\": \"" << p.label << "\", \"start_ns\": " << Num(p.start_ns)
-       << ", \"end_ns\": " << Num(p.end_ns)
-       << ", \"delivered_bytes\": " << Num(p.delivered_bytes)
-       << ", \"goodput_mbps\": " << Num(p.goodput_mbps)
-       << ", \"drops\": " << Num(p.drops)
-       << ", \"retransmissions\": " << Num(p.retransmissions) << "}"
-       << (i + 1 < phases_.size() ? "," : "") << "\n";
+  w.Break(2).EndArray();
+  w.Break(2).Key("phases").BeginArray();
+  for (const Phase& p : phases_) {
+    w.Break(4).BeginObject().Key("label").String(p.label);
+    w.Key("start_ns").Number(p.start_ns).Key("end_ns").Number(p.end_ns);
+    w.Key("delivered_bytes").Number(p.delivered_bytes);
+    w.Key("goodput_mbps").Number(p.goodput_mbps).Key("drops").Number(p.drops);
+    w.Key("retransmissions").Number(p.retransmissions).EndObject();
   }
-  os << "  ],\n";
+  w.Break(2).EndArray();
   if (!rows_.empty()) {
-    os << "  \"rows\": [\n";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      os << "    {";
-      for (std::size_t i = 0; i < rows_[r].size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "\"" << rows_[r][i].first
-           << "\": " << Num(rows_[r][i].second);
+    w.Break(2).Key("rows").BeginArray();
+    for (const Row& row : rows_) {
+      w.Break(4).BeginObject();
+      for (const auto& [key, value] : row) {
+        w.Key(key).Number(value);
       }
-      os << "}" << (r + 1 < rows_.size() ? "," : "") << "\n";
+      w.EndObject();
     }
-    os << "  ],\n";
+    w.Break(2).EndArray();
   }
-  os << "  \"audits\": [\n";
-  for (std::size_t i = 0; i < audits_.size(); ++i) {
-    const AuditEntry& a = audits_[i];
-    os << "    {\"label\": \"" << a.label << "\", \"at_ns\": " << Num(a.at_ns)
-       << ", \"passed\": " << Bool(a.passed) << ",\n";
-    os << "     \"hosts\": [\n";
-    for (std::size_t h = 0; h < a.hosts.size(); ++h) {
-      const HostAuditResult& hr = a.hosts[h];
-      os << "       {\"host\": \"" << hr.host
-         << "\", \"leaked_frames\": " << Num(hr.leaked_frames)
-         << ", \"refcount_mismatches\": " << Num(hr.refcount_mismatches)
-         << ", \"dangling_mappings\": " << Num(hr.dangling_mappings)
-         << ", \"free_list_errors\": " << Num(hr.free_list_errors)
-         << ", \"orphaned_live_fbufs\": " << Num(hr.orphaned_live_fbufs)
-         << ", \"live_fbufs\": " << Num(hr.live_fbufs)
-         << ", \"free_listed_fbufs\": " << Num(hr.free_listed_fbufs)
-         << ", \"passed\": " << Bool(hr.passed) << "}"
-         << (h + 1 < a.hosts.size() ? "," : "") << "\n";
+  w.Break(2).Key("audits").BeginArray();
+  for (const AuditEntry& a : audits_) {
+    w.Break(4).BeginObject().Key("label").String(a.label);
+    w.Key("at_ns").Number(a.at_ns).Key("passed").Bool(a.passed);
+    w.Break(5).Key("hosts").BeginArray();
+    for (const HostAuditResult& hr : a.hosts) {
+      w.Break(7).BeginObject().Key("host").String(hr.host);
+      w.Key("leaked_frames").Number(hr.leaked_frames);
+      w.Key("refcount_mismatches").Number(hr.refcount_mismatches);
+      w.Key("dangling_mappings").Number(hr.dangling_mappings);
+      w.Key("free_list_errors").Number(hr.free_list_errors);
+      w.Key("orphaned_live_fbufs").Number(hr.orphaned_live_fbufs);
+      w.Key("live_fbufs").Number(hr.live_fbufs);
+      w.Key("free_listed_fbufs").Number(hr.free_listed_fbufs);
+      w.Key("passed").Bool(hr.passed).EndObject();
     }
-    os << "     ]";
+    w.Break(5).EndArray();
     if (a.has_swp) {
-      os << ",\n     \"swp\": {\"window_wedged\": " << Bool(a.swp.window_wedged)
-         << ", \"unacked\": " << a.swp.unacked
-         << ", \"stashed\": " << Num(a.swp.stashed)
-         << ", \"bytes_copied\": " << Num(a.swp.bytes_copied)
-         << ", \"passed\": " << Bool(a.swp.passed) << "}";
+      w.Break(5).Key("swp").BeginObject();
+      w.Key("window_wedged").Bool(a.swp.window_wedged);
+      w.Key("unacked").Number(a.swp.unacked).Key("stashed").Number(a.swp.stashed);
+      w.Key("bytes_copied").Number(a.swp.bytes_copied);
+      w.Key("passed").Bool(a.swp.passed).EndObject();
     }
     if (!a.conversations.empty()) {
-      os << ",\n     \"conversations\": [\n";
-      for (std::size_t c = 0; c < a.conversations.size(); ++c) {
-        const SwpAuditResult& cr = a.conversations[c].second;
-        os << "       {\"flow\": \"" << a.conversations[c].first
-           << "\", \"window_wedged\": " << Bool(cr.window_wedged)
-           << ", \"unacked\": " << cr.unacked
-           << ", \"stashed\": " << Num(cr.stashed)
-           << ", \"bytes_copied\": " << Num(cr.bytes_copied)
-           << ", \"ledger_pinned\": " << Num(cr.ledger_pinned)
-           << ", \"ledger_mismatch\": " << Num(cr.ledger_mismatch)
-           << ", \"passed\": " << Bool(cr.passed) << "}"
-           << (c + 1 < a.conversations.size() ? "," : "") << "\n";
+      w.Break(5).Key("conversations").BeginArray();
+      for (const auto& [flow, cr] : a.conversations) {
+        w.Break(7).BeginObject().Key("flow").String(flow);
+        w.Key("window_wedged").Bool(cr.window_wedged);
+        w.Key("unacked").Number(cr.unacked).Key("stashed").Number(cr.stashed);
+        w.Key("bytes_copied").Number(cr.bytes_copied);
+        w.Key("ledger_pinned").Number(cr.ledger_pinned);
+        w.Key("ledger_mismatch").Number(cr.ledger_mismatch);
+        w.Key("passed").Bool(cr.passed).EndObject();
       }
-      os << "     ]";
+      w.Break(5).EndArray();
     }
-    os << "}" << (i + 1 < audits_.size() ? "," : "") << "\n";
+    w.EndObject();
   }
-  os << "  ],\n";
-  os << "  \"outcome_note\": \"" << outcome_note_ << "\",\n";
-  os << "  \"passed\": " << Bool(passed()) << "\n";
-  os << "}\n";
-  return os.str();
+  w.Break(2).EndArray();
+  w.Break(2).Key("outcome_note").String(outcome_note_);
+  w.Break(2).Key("passed").Bool(passed());
+  return w.Break(0).EndObject().Take() + "\n";
 }
 
 bool CampaignReport::Write() const {
   const std::string path = "CAMPAIGN_" + name_ + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  if (!WriteTextFile(path, ToJson())) {
     return false;
   }
-  const std::string json = ToJson();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   return true;
 }

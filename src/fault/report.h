@@ -2,8 +2,9 @@
 //
 // Serializes per-phase goodput / drop / retransmission deltas, the armed
 // fault schedule, sweep rows, and every audit's results to
-// CAMPAIGN_<name>.json (the BENCH_*.json convention, same %.10g number
-// format). The JSON is a pure function of the campaign's deterministic
+// CAMPAIGN_<name>.json through the JsonWriter (src/obs/json.h) that also
+// renders BENCH_*.json, so both share separators, escaping and number
+// format. The JSON is a pure function of the campaign's deterministic
 // state — same seed, same schedule => byte-identical file, which is the
 // acceptance test for campaign determinism.
 #ifndef SRC_FAULT_REPORT_H_

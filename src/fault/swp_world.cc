@@ -42,7 +42,6 @@ SwpWorld::SwpWorld(const SwpWorldConfig& cfg)
   // the ramp caps early enough that the producer probes a recovering pool
   // promptly.
   backoff_.policy.initial = cfg.rto;
-  backoff_.policy.multiplier = 2;
   backoff_.policy.cap = 8 * cfg.rto;
   backoff_.stall_horizon = cfg.stall_horizon;
 }

@@ -23,10 +23,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/obs/json.h"
 #include "src/sim/clock.h"
 
 namespace fbufs {
@@ -77,11 +77,9 @@ struct LatencyDecomposition {
     append(pin_hold, other.pin_hold);
   }
 
-  // {"queue_wait":{"count":N,"p50":..,"p99":..,"p999":..}, ...} — one object
-  // per slice, fixed order, integer nanoseconds.
+  // {"queue_wait": {"count": N, "p50": .., "p99": .., "p999": ..}, ...} — one
+  // object per slice, fixed order, integer nanoseconds.
   std::string ToJson() const {
-    std::ostringstream out;
-    out << "{";
     const struct {
       const char* name;
       const std::vector<SimTime>* samples;
@@ -90,21 +88,17 @@ struct LatencyDecomposition {
         {"dispatch", &dispatch},     {"retransmit", &retransmit},
         {"pin_hold", &pin_hold},
     };
-    bool first = true;
+    JsonWriter w;
+    w.BeginObject();
     for (const auto& s : slices) {
       std::vector<SimTime> sorted = *s.samples;
       std::sort(sorted.begin(), sorted.end());
-      if (!first) {
-        out << ", ";
-      }
-      first = false;
-      out << "\"" << s.name << "\": {\"count\": " << sorted.size()
-          << ", \"p50\": " << Quantile(sorted, 0.5)
-          << ", \"p99\": " << Quantile(sorted, 0.99)
-          << ", \"p999\": " << Quantile(sorted, 0.999) << "}";
+      w.Key(s.name).BeginObject().Key("count").Number(sorted.size());
+      w.Key("p50").Number(Quantile(sorted, 0.5));
+      w.Key("p99").Number(Quantile(sorted, 0.99));
+      w.Key("p999").Number(Quantile(sorted, 0.999)).EndObject();
     }
-    out << "}";
-    return out.str();
+    return w.EndObject().Take();
   }
 };
 

@@ -1,6 +1,6 @@
 #include "src/obs/metrics.h"
 
-#include <sstream>
+#include "src/obs/json.h"
 
 namespace fbufs {
 
@@ -46,42 +46,34 @@ std::uint64_t Histogram::ApproxQuantile(double q) const {
 }
 
 std::string MetricsRegistry::ToJson() const {
-  std::ostringstream os;
-  os << "{";
-  os << "\"counters\":{";
-  bool first = true;
+  JsonWriter w(JsonWriter::Style::kCompact);
+  w.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, c] : counters_) {
-    os << (first ? "" : ",") << "\"" << name << "\":" << c.value();
-    first = false;
+    w.Key(name).Number(c.value());
   }
-  os << "},\"gauges\":{";
-  first = true;
+  w.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, g] : gauges_) {
-    os << (first ? "" : ",") << "\"" << name << "\":{\"value\":" << g.value()
-       << ",\"min\":" << g.min() << ",\"max\":" << g.max() << ",\"samples\":" << g.samples()
-       << "}";
-    first = false;
+    w.Key(name).BeginObject();
+    w.Key("value").Number(g.value()).Key("min").Number(g.min());
+    w.Key("max").Number(g.max()).Key("samples").Number(g.samples());
+    w.EndObject();
   }
-  os << "},\"histograms\":{";
-  first = true;
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ",") << "\"" << name << "\":{\"count\":" << h.count()
-       << ",\"sum\":" << h.sum() << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-       << ",\"p50\":" << h.ApproxQuantile(0.5) << ",\"p99\":" << h.ApproxQuantile(0.99)
-       << ",\"buckets\":{";
-    bool bfirst = true;
+    w.Key(name).BeginObject();
+    w.Key("count").Number(h.count()).Key("sum").Number(h.sum());
+    w.Key("min").Number(h.min()).Key("max").Number(h.max());
+    w.Key("p50").Number(h.ApproxQuantile(0.5));
+    w.Key("p99").Number(h.ApproxQuantile(0.99));
+    w.Key("buckets").BeginObject();
     for (int b = 0; b < Histogram::kBuckets; ++b) {
-      if (h.bucket(b) == 0) {
-        continue;
+      if (h.bucket(b) != 0) {
+        w.Key(std::to_string(b)).Number(h.bucket(b));
       }
-      os << (bfirst ? "" : ",") << "\"" << b << "\":" << h.bucket(b);
-      bfirst = false;
     }
-    os << "}}";
-    first = false;
+    w.EndObject().EndObject();
   }
-  os << "}}";
-  return os.str();
+  return w.EndObject().EndObject().Take();
 }
 
 }  // namespace fbufs

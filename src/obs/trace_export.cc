@@ -1,7 +1,5 @@
 #include "src/obs/trace_export.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 
 #include "src/obs/lifecycle.h"
@@ -16,46 +14,38 @@ std::uint32_t TidFor(TraceCategory c) { return static_cast<std::uint32_t>(c); }
 
 }  // namespace
 
-std::string TraceExporter::Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += ch;
+void TraceExporter::BeginEvent(char ph, std::string_view name, std::uint32_t pid,
+                               std::uint32_t tid, SimTime ts, SimTime dur,
+                               std::uint64_t flow_id) {
+  ++event_count_;
+  out_.BeginObject().Key("name").String(name).Key("ph").String(std::string_view(&ph, 1));
+  out_.Key("pid").Number(pid).Key("tid").Number(tid);
+  if (ph != 'M') {
+    // Simulated ns as microseconds with nanosecond precision.
+    out_.Key("ts").Thousandths(ts);
+  }
+  if (ph == 'X') {
+    out_.Key("dur").Thousandths(dur);
+  }
+  if (ph == 'i') {
+    // Thread-scoped instants; markers read better process-wide but "t"
+    // keeps them on their category lane.
+    out_.Key("s").String("t");
+  }
+  if (ph == 's' || ph == 't' || ph == 'f') {
+    out_.Key("id").Number(flow_id);
+    if (ph == 'f') {
+      // Bind the terminating arrow to the enclosing slice, matching the
+      // 's'/'t' steps (Chrome's bp:"e" flow-end convention).
+      out_.Key("bp").String("e");
     }
   }
-  return out;
-}
-
-void TraceExporter::AppendTimestamp(std::string* out, SimTime ns) {
-  // Microseconds with nanosecond precision, integer arithmetic only.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64, ns / 1000, ns % 1000);
-  out->append(buf);
 }
 
 void TraceExporter::AppendMeta(std::uint32_t pid, std::uint32_t tid, const char* what,
                                const std::string& name) {
-  ExportEvent e;
-  e.pid = pid;
-  e.tid = tid;
-  e.ph = 'M';
-  e.name = what;
-  e.args = "\"name\":\"" + Escape(name) + "\"";
-  events_.push_back(std::move(e));
+  BeginEvent('M', what, pid, tid);
+  out_.Key("args").BeginObject().Key("name").String(name).EndObject().EndObject();
 }
 
 void TraceExporter::AddHost(const std::string& name, std::uint32_t pid, const Trace& trace) {
@@ -65,32 +55,16 @@ void TraceExporter::AddHost(const std::string& name, std::uint32_t pid, const Tr
                TraceCategoryName(static_cast<TraceCategory>(c)));
   }
   for (const TraceEvent& ev : trace.Snapshot()) {
-    ExportEvent e;
-    e.pid = pid;
-    e.tid = TidFor(ev.category);
-    e.ts = ev.time;
-    e.name = ev.what;
-    e.cat = TraceCategoryName(ev.category);
-    switch (ev.phase) {
-      case TracePhase::kBegin:
-        e.ph = 'B';
-        break;
-      case TracePhase::kEnd:
-        e.ph = 'E';
-        break;
-      case TracePhase::kMarker:
-        e.ph = 'i';
-        break;
-      case TracePhase::kInstant:
-        e.ph = 'i';
-        break;
+    // Markers and instants are both instants ('i').
+    const char ph = ev.phase == TracePhase::kBegin ? 'B'
+                    : ev.phase == TracePhase::kEnd ? 'E'
+                                                   : 'i';
+    BeginEvent(ph, ev.what, pid, TidFor(ev.category), ev.time);
+    out_.Key("cat").String(TraceCategoryName(ev.category));
+    if (ph != 'E') {
+      out_.Key("args").BeginObject().Key("a").Number(ev.a).Key("b").Number(ev.b).EndObject();
     }
-    if (e.ph != 'E') {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "\"a\":%" PRIu64 ",\"b\":%" PRIu64, ev.a, ev.b);
-      e.args = buf;
-    }
-    events_.push_back(std::move(e));
+    out_.EndObject();
   }
 }
 
@@ -101,15 +75,8 @@ void TraceExporter::AddResource(const Resource& resource) {
   }
   AppendMeta(kResourcePid, tid, "thread_name", resource.name());
   for (const Resource::BusyInterval& iv : resource.intervals()) {
-    ExportEvent e;
-    e.pid = kResourcePid;
-    e.tid = tid;
-    e.ts = iv.start;
-    e.dur = iv.end - iv.start;
-    e.ph = 'X';
-    e.name = "busy";
-    e.cat = "resource";
-    events_.push_back(std::move(e));
+    BeginEvent('X', "busy", kResourcePid, tid, iv.start, iv.end - iv.start);
+    out_.Key("cat").String("resource").EndObject();
   }
 }
 
@@ -117,33 +84,26 @@ void TraceExporter::AddCounterTracks(const std::string& name, std::uint32_t pid,
                                      const MetricsRegistry& metrics,
                                      SimTime final_ts) {
   AppendMeta(pid, 0, "process_name", name);
-  auto counter = [&](const std::string& track, SimTime ts, std::string args) {
-    ExportEvent e;
-    e.pid = pid;
-    e.tid = 0;
-    e.ts = ts;
-    e.ph = 'C';
-    e.name = track;
-    e.cat = "metric";
-    e.args = std::move(args);
-    events_.push_back(std::move(e));
+  // Opens one counter point's args; the caller writes them and closes both.
+  auto counter = [&](const std::string& track, SimTime ts) -> JsonWriter& {
+    BeginEvent('C', track, pid, 0, ts);
+    return out_.Key("cat").String("metric").Key("args").BeginObject();
   };
   for (const auto& [track, series] : metrics.series()) {
     for (const auto& [when, value] : series) {
-      counter(track, when, "\"value\":" + std::to_string(value));
+      counter(track, when).Key("value").Number(value).EndObject().EndObject();
     }
   }
   for (const auto& [track, gauge] : metrics.gauges()) {
     if (metrics.series().count(track) != 0) {
       continue;  // already a full track above
     }
-    counter(track, final_ts, "\"value\":" + std::to_string(gauge.value()));
+    counter(track, final_ts).Key("value").Number(gauge.value()).EndObject().EndObject();
   }
   for (const auto& [track, hist] : metrics.histograms()) {
-    counter(track, final_ts,
-            "\"count\":" + std::to_string(hist.count()) +
-                ",\"p50\":" + std::to_string(hist.ApproxQuantile(0.5)) +
-                ",\"p99\":" + std::to_string(hist.ApproxQuantile(0.99)));
+    counter(track, final_ts).Key("count").Number(hist.count());
+    out_.Key("p50").Number(hist.ApproxQuantile(0.5));
+    out_.Key("p99").Number(hist.ApproxQuantile(0.99)).EndObject().EndObject();
   }
 }
 
@@ -171,32 +131,17 @@ void TraceExporter::AddLifecycleFlows(const std::string& name,
       const std::uint32_t tid = lane(hop.domain);
       // The hop slice: a fixed-width marker the flow arrows can bind to
       // (Chrome flow events attach to the slice enclosing their timestamp).
-      ExportEvent x;
-      x.pid = pid;
-      x.tid = tid;
-      x.ts = hop.time;
-      x.dur = 1000;
-      x.ph = 'X';
-      x.name = HopKindName(hop.kind);
-      x.cat = "lifecycle";
-      x.args = "\"journey\":" + std::to_string(j.id) +
-               ",\"fbuf\":" + std::to_string(j.fbuf) +
-               ",\"layer\":\"" + Escape(hop.layer) +
-               "\",\"cpu\":" + std::to_string(hop.cpu) +
-               ",\"arg\":" + std::to_string(hop.arg);
-      events_.push_back(std::move(x));
+      BeginEvent('X', HopKindName(hop.kind), pid, tid, hop.time, 1000);
+      out_.Key("cat").String("lifecycle").Key("args").BeginObject();
+      out_.Key("journey").Number(j.id).Key("fbuf").Number(j.fbuf);
+      out_.Key("layer").String(hop.layer).Key("cpu").Number(hop.cpu);
+      out_.Key("arg").Number(hop.arg).EndObject().EndObject();
       if (n < 2) {
         continue;  // a single-hop journey has no arrow to draw
       }
-      ExportEvent f;
-      f.pid = pid;
-      f.tid = tid;
-      f.ts = hop.time;
-      f.ph = i == 0 ? 's' : (i + 1 == n ? 'f' : 't');
-      f.name = "fbuf-journey";
-      f.cat = "lifecycle";
-      f.flow_id = j.id;
-      events_.push_back(std::move(f));
+      const char ph = i == 0 ? 's' : (i + 1 == n ? 'f' : 't');
+      BeginEvent(ph, "fbuf-journey", pid, tid, hop.time, 0, j.id);
+      out_.Key("cat").String("lifecycle").EndObject();
     }
   }
 }
@@ -208,85 +153,16 @@ void TraceExporter::AddLaneConservation(const std::string& lane_name,
     AppendMeta(kConservationPid, 0, "process_name", "conservation");
   }
   AppendMeta(kConservationPid, tid, "thread_name", lane_name);
-  ExportEvent e;
-  e.pid = kConservationPid;
-  e.tid = tid;
-  e.ts = elapsed;
-  e.ph = 'i';
-  e.name = "lane_conservation";
-  e.cat = "conservation";
   const SimTime idle = elapsed >= busy ? elapsed - busy : 0;
-  e.args = "\"busy\":" + std::to_string(busy) +
-           ",\"idle\":" + std::to_string(idle) +
-           ",\"elapsed\":" + std::to_string(elapsed);
-  events_.push_back(std::move(e));
+  BeginEvent('i', "lane_conservation", kConservationPid, tid, elapsed);
+  out_.Key("cat").String("conservation").Key("args").BeginObject();
+  out_.Key("busy").Number(busy).Key("idle").Number(idle);
+  out_.Key("elapsed").Number(elapsed).EndObject().EndObject();
 }
 
 std::string TraceExporter::ToJson() const {
-  std::string out;
-  out.reserve(events_.size() * 96 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (const ExportEvent& e : events_) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "{\"name\":\"";
-    out += Escape(e.name);
-    out += "\",\"ph\":\"";
-    out += e.ph;
-    out += "\",\"pid\":";
-    out += std::to_string(e.pid);
-    out += ",\"tid\":";
-    out += std::to_string(e.tid);
-    if (e.ph != 'M') {
-      out += ",\"ts\":";
-      AppendTimestamp(&out, e.ts);
-    }
-    if (e.ph == 'X') {
-      out += ",\"dur\":";
-      AppendTimestamp(&out, e.dur);
-    }
-    if (e.ph == 'i') {
-      // Thread-scoped instants; markers read better process-wide but "t"
-      // keeps them on their category lane.
-      out += ",\"s\":\"t\"";
-    }
-    if (e.ph == 's' || e.ph == 't' || e.ph == 'f') {
-      out += ",\"id\":";
-      out += std::to_string(e.flow_id);
-      if (e.ph == 'f') {
-        // Bind the terminating arrow to the enclosing slice, matching the
-        // 's'/'t' steps (Chrome's bp:"e" flow-end convention).
-        out += ",\"bp\":\"e\"";
-      }
-    }
-    if (!e.cat.empty()) {
-      out += ",\"cat\":\"";
-      out += Escape(e.cat);
-      out += "\"";
-    }
-    if (!e.args.empty()) {
-      out += ",\"args\":{";
-      out += e.args;
-      out += "}";
-    }
-    out += "}";
-  }
-  out += "],\"displayTimeUnit\":\"ns\"}";
-  return out;
-}
-
-bool TraceExporter::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return n == json.size();
+  JsonWriter doc = out_;
+  return doc.EndArray().Key("displayTimeUnit").String("ns").EndObject().Take();
 }
 
 }  // namespace fbufs

@@ -17,8 +17,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/trace.h"
@@ -63,31 +64,28 @@ class TraceExporter {
   // The complete trace document: {"traceEvents":[...],"displayTimeUnit":"ns"}.
   std::string ToJson() const;
 
-  // Writes ToJson() to |path|; returns false on I/O failure.
-  bool WriteFile(const std::string& path) const;
-
-  std::size_t event_count() const { return events_.size(); }
+  std::size_t event_count() const { return event_count_; }
 
  private:
-  struct ExportEvent {
-    std::uint32_t pid = 0;
-    std::uint32_t tid = 0;
-    SimTime ts = 0;
-    SimTime dur = 0;         // "X" events only
-    char ph = 'i';           // B, E, i, X, M, C, s, t, f
-    std::string name;
-    std::string args;        // pre-rendered JSON object body, may be empty
-    std::string cat;
-    std::uint64_t flow_id = 0;  // 's'/'t'/'f' events only
-  };
+  // Appends one event and writes the members its phase |ph| carries, in the
+  // format's fixed member order: name, ph, pid, tid, then ts (every phase
+  // but 'M'), dur ('X'), s ('i'), id and bp (flow events 's'/'t'/'f'). The
+  // caller adds "cat" and "args" to out_ and closes the object.
+  void BeginEvent(char ph, std::string_view name, std::uint32_t pid,
+                  std::uint32_t tid, SimTime ts = 0, SimTime dur = 0,
+                  std::uint64_t flow_id = 0);
 
   void AppendMeta(std::uint32_t pid, std::uint32_t tid, const char* what,
                   const std::string& name);
 
-  static std::string Escape(const std::string& s);
-  static void AppendTimestamp(std::string* out, SimTime ns);
-
-  std::vector<ExportEvent> events_;
+  // The document so far: events are rendered as they are added, inside a
+  // still-open "traceEvents" array.
+  JsonWriter out_ = [] {
+    JsonWriter w(JsonWriter::Style::kCompact);
+    w.BeginObject().Key("traceEvents").BeginArray();
+    return w;
+  }();
+  std::size_t event_count_ = 0;
   std::uint32_t next_resource_tid_ = 0;
   std::uint32_t next_lane_tid_ = 0;
   static constexpr std::uint32_t kResourcePid = 9999;

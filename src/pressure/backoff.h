@@ -33,19 +33,20 @@ inline bool IsBackpressure(Status st) {
 }
 
 // Capped exponential backoff: attempt 0 waits |initial|, each further
-// attempt multiplies by |multiplier| until |cap|.
+// attempt doubles the delay until |cap|.
 struct BackoffPolicy {
+  static constexpr SimTime kMultiplier = 2;
+
   SimTime initial = kMillisecond / 2;
-  std::uint32_t multiplier = 2;
   SimTime cap = 8 * kMillisecond;
 
   SimTime Delay(std::uint32_t attempt) const {
     SimTime d = initial;
     for (std::uint32_t i = 0; i < attempt; ++i) {
-      if (d >= cap || d > cap / multiplier) {
+      if (d >= cap || d > cap / kMultiplier) {
         return cap;
       }
-      d *= multiplier;
+      d *= kMultiplier;
     }
     return d < cap ? d : cap;
   }

@@ -63,10 +63,10 @@ Status FileServer::Pop(Message m) {
       rec.file = req.file;
       rec.block = b;
       rec.pinned_at = machine.clock().Now();
-      const std::vector<Fbuf*> block_fbufs = bm.Fbufs();
-      if (!block_fbufs.empty()) {
-        rec.fbuf = block_fbufs.front()->id;
-      }
+      bm.ForEachFbuf([&rec](Fbuf* fb) {
+        rec.fbuf = fb->id;
+        return false;  // the first fbuf is the one the pin tracks
+      });
       if (machine.lifecycle() != nullptr && rec.fbuf != kInvalidFbufId) {
         machine.lifecycle()->Hop(rec.fbuf, HopKind::kPin, domain()->id(),
                                  "serve", req.id);

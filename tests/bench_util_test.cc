@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -88,6 +91,29 @@ TEST(ParetoGeneratorTest, SizesStayInBoundsAndAreHeavyTailed) {
   // nowhere near the majority.
   EXPECT_GT(over_100k, 100u);
   EXPECT_LT(over_100k, 4000u);
+}
+
+TEST(JsonReportTest, StringFieldsAreEscaped) {
+  JsonReport report("json_report_escape_test");
+  report.BeginRow().Field("note", std::string("a\"b\\c\nd\x01")).Field("n", 1.5);
+  ASSERT_TRUE(report.Write());
+  const std::string path = "BENCH_json_report_escape_test.json";
+  std::ifstream in(path);
+  // Drop the host-timed sim_throughput line, as CI's replay check does.
+  std::string stripped;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"sim_throughput\"") == std::string::npos) {
+      stripped += line + "\n";
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(stripped, R"({
+  "bench": "json_report_escape_test",
+  "rows": [
+    {"note": "a\"b\\c\nd\u0001", "n": 1.5}
+  ]
+}
+)");
 }
 
 TEST(ParetoGeneratorTest, SameSeedSameSequence) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fault/campaign.h"
+#include "src/fault/report.h"
 #include "src/fault/swp_world.h"
 #include "src/topo/topo_config.h"
 
@@ -248,6 +249,45 @@ TEST(Campaigns, SameSeedProducesByteIdenticalReports) {
       false, 16 * 1024, 16 * 1024, 20, 1 * kMillisecond);
   EXPECT_EQ(first.json, second.json);
   EXPECT_FALSE(first.json.empty());
+}
+
+TEST(Campaigns, ReportEscapesLabelsAndOutcomeNote) {
+  // A quote, a backslash, a newline and a control character: each must come
+  // out escaped, so the report stays one valid JSON document.
+  const std::string tricky = "a\"b\\c\nd\x01";
+  CampaignReport report("escape", 7);
+  CampaignReport::Phase phase;
+  phase.label = tricky;
+  phase.start_ns = 1;
+  phase.end_ns = 2;
+  phase.delivered_bytes = 3;
+  phase.goodput_mbps = 0.5;
+  phase.drops = 4;
+  phase.retransmissions = 5;
+  report.AddPhase(phase);
+  CampaignReport::AuditEntry audit;
+  audit.label = "audit";
+  audit.at_ns = 9;
+  audit.passed = true;
+  report.AddAudit(audit);
+  report.SetOutcome(true, tricky);
+  EXPECT_EQ(report.ToJson(), R"({
+  "campaign": "escape",
+  "seed": 7,
+  "schedule": [
+  ],
+  "phases": [
+    {"label": "a\"b\\c\nd\u0001", "start_ns": 1, "end_ns": 2, "delivered_bytes": 3, "goodput_mbps": 0.5, "drops": 4, "retransmissions": 5}
+  ],
+  "audits": [
+    {"label": "audit", "at_ns": 9, "passed": true,
+     "hosts": [
+     ]}
+  ],
+  "outcome_note": "a\"b\\c\nd\u0001",
+  "passed": true
+}
+)");
 }
 
 TEST(Campaigns, AckPathOnlyLossRecoversWithoutCopies) {

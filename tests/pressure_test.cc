@@ -46,7 +46,6 @@ std::vector<Fbuf*> HoardAllButN(World& w, Domain& d, std::uint64_t leave) {
 TEST(Backoff, DelayRampsExponentiallyToTheCap) {
   BackoffPolicy p;
   p.initial = kMillisecond;
-  p.multiplier = 2;
   p.cap = 8 * kMillisecond;
   EXPECT_EQ(p.Delay(0), kMillisecond);
   EXPECT_EQ(p.Delay(1), 2 * kMillisecond);
@@ -61,7 +60,6 @@ TEST(Backoff, DelayRampsExponentiallyToTheCap) {
 TEST(Backoff, ParkRampsAndProgressResets) {
   FlowBackoff b;
   b.policy.initial = kMillisecond;
-  b.policy.multiplier = 2;
   b.policy.cap = 4 * kMillisecond;
   b.stall_horizon = 100 * kMillisecond;
 
