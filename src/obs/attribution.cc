@@ -1,5 +1,7 @@
 #include "src/obs/attribution.h"
 
+#include <iterator>
+#include <numeric>
 #include <sstream>
 
 namespace fbufs {
@@ -38,21 +40,28 @@ const char* CostDomainName(CostDomain d) {
   return "?";
 }
 
+Attribution::Row* Attribution::IndexRow(DomainId actor, AttrPathId path, std::uint32_t cpu) {
+  Row*& row = index_[std::make_tuple(actor, path, cpu)];
+  if (row == nullptr) {
+    row = &rows_.emplace_back(
+        Row{actor, path, cpu, static_cast<std::uint16_t>(1u << kWaitIndex), {}});
+  }
+  return row;
+}
+
 SimTime Attribution::ByLayer(CostDomain d) const {
   SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.layer == d) {
-      sum += ns;
-    }
+  for (const Row& row : rows_) {
+    sum += row.cell[static_cast<std::size_t>(d)];
   }
   return sum;
 }
 
 SimTime Attribution::ByDomain(DomainId d) const {
   SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.domain == d) {
-      sum += ns;
+  for (const Row& row : rows_) {
+    if (row.actor == d) {
+      sum += std::accumulate(std::begin(row.cell), std::end(row.cell), SimTime{0});
     }
   }
   return sum;
@@ -60,9 +69,9 @@ SimTime Attribution::ByDomain(DomainId d) const {
 
 SimTime Attribution::ByPath(AttrPathId p) const {
   SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.path == p) {
-      sum += ns;
+  for (const Row& row : rows_) {
+    if (row.path == p) {
+      sum += std::accumulate(std::begin(row.cell), std::end(row.cell), SimTime{0});
     }
   }
   return sum;
@@ -70,12 +79,24 @@ SimTime Attribution::ByPath(AttrPathId p) const {
 
 SimTime Attribution::ByCpu(std::uint32_t c) const {
   SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.cpu == c) {
-      sum += ns;
+  for (const Row& row : rows_) {
+    if (row.cpu == c) {
+      sum += std::accumulate(std::begin(row.cell), std::end(row.cell), SimTime{0});
     }
   }
   return sum;
+}
+
+std::map<Attribution::Key, SimTime> Attribution::cells() const {
+  std::map<Key, SimTime> out;
+  for (const Row& row : rows_) {
+    for (std::size_t i = 0; i < kLayers; ++i) {
+      if ((row.entered >> i & 1u) != 0) {
+        out.emplace(Key{static_cast<CostDomain>(i), row.actor, row.path, row.cpu}, row.cell[i]);
+      }
+    }
+  }
+  return out;
 }
 
 SimTime Attribution::Snapshot::ByLayer(CostDomain d) const {

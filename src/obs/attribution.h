@@ -30,8 +30,10 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
+#include <tuple>
 
 #include "src/sim/clock.h"
 #include "src/vm/types.h"
@@ -65,6 +67,8 @@ enum class CostDomain : std::uint8_t {
 const char* CostDomainName(CostDomain d);
 
 class Attribution {
+  struct Row;
+
  public:
   // One accumulation cell: (layer, acting domain, path, cpu). Ordered so
   // serialization is deterministic. The cpu dimension is 0 for the whole
@@ -92,7 +96,7 @@ class Attribution {
     }
   };
 
-  Attribution() { Revalidate(); }
+  Attribution() { Enter(kInvalidDomainId, kAttrNoPath, 0); }
 
   Attribution(const Attribution&) = delete;
   Attribution& operator=(const Attribution&) = delete;
@@ -103,7 +107,7 @@ class Attribution {
     total_ += ns;
   }
   void RecordWait(SimTime ns) {
-    *wait_cell_ += ns;
+    row_->cell[kWaitIndex] += ns;
     total_ += ns;
   }
 
@@ -119,22 +123,16 @@ class Attribution {
 
   // --- Context (scopes below maintain these) ---------------------------------
   void PushLayer(CostDomain d) {
-    const CostDomain before = CurrentLayer();
     if (depth_ < kMaxDepth) {
       stack_[depth_] = d;
     }
     depth_++;
-    if (CurrentLayer() != before) {
-      work_cell_ = Resolve(WorkKey());
-    }
+    EnterLayer();
   }
   void PopLayer() {
     assert(depth_ > 0 && "PopLayer without PushLayer");
-    const CostDomain before = CurrentLayer();
     depth_--;
-    if (CurrentLayer() != before) {
-      work_cell_ = Resolve(WorkKey());
-    }
+    EnterLayer();
   }
   CostDomain CurrentLayer() const {
     if (depth_ == 0) {
@@ -144,31 +142,54 @@ class Attribution {
     return stack_[top];
   }
 
-  DomainId actor() const { return actor_; }
+  DomainId actor() const { return row_->actor; }
   void SetActor(DomainId d) {
-    if (d == actor_) {
-      return;
+    if (d != row_->actor) {
+      Enter(d, row_->path, row_->cpu);
     }
-    actor_ = d;
-    Revalidate();
   }
-  AttrPathId path() const { return path_; }
+  AttrPathId path() const { return row_->path; }
   void SetPath(AttrPathId p) {
-    if (p == path_) {
-      return;
+    if (p != row_->path) {
+      Enter(row_->actor, p, row_->cpu);
     }
-    path_ = p;
-    Revalidate();
   }
-  std::uint32_t cpu() const { return cpu_; }
+  std::uint32_t cpu() const { return row_->cpu; }
   // The CPU lane charges land on. Maintained by Machine::SetActiveCpu, not
   // by a scope here: the active lane is machine state, not call-site state.
   void SetCpu(std::uint32_t c) {
-    if (c == cpu_) {
-      return;
+    if (c != row_->cpu) {
+      Enter(row_->actor, row_->path, c);
     }
-    cpu_ = c;
-    Revalidate();
+  }
+
+  // Scope bookkeeping. Scopes nest strictly (LIFO): each takes the next
+  // nesting level on entry and must hand the same level back on exit.
+  std::size_t EnterScope() { return ++scopes_; }
+  void ExitScope([[maybe_unused]] std::size_t level) {
+    assert(scopes_ == level && "attribution scope exited out of LIFO order");
+    scopes_--;
+  }
+
+  // The context an actor or path scope found on entry. By LIFO nesting the
+  // layer on exit is the one on entry, so restoring the row also restores
+  // the work cell, unless the CPU lane moved meanwhile: then the saved
+  // actor and path are entered on the new lane. (A bare SetActor or SetPath
+  // inside an open scope is undone with it.)
+  struct Mark {
+    Row* row;
+    SimTime* work_cell;
+    std::size_t level;
+  };
+  Mark Save() { return Mark{row_, work_cell_, EnterScope()}; }
+  void Restore(const Mark& m) {
+    ExitScope(m.level);
+    if (m.row->cpu == row_->cpu) {
+      row_ = m.row;
+      work_cell_ = m.work_cell;
+    } else {
+      Enter(m.row->actor, m.row->path, row_->cpu);
+    }
   }
 
   // --- Inspection -------------------------------------------------------------
@@ -182,7 +203,9 @@ class Attribution {
   // Per-lane total: on a multicore machine this equals that lane's clock
   // (per-lane conservation); summed over lanes it equals total().
   SimTime ByCpu(std::uint32_t c) const;
-  const std::map<Key, SimTime>& cells() const { return cells_; }
+  // Every cell any entered context created, zero-valued ones included,
+  // rebuilt from the rows on each call (a report-side path).
+  std::map<Key, SimTime> cells() const;
 
   // A value-semantics copy for windowed measurement (bench warmup).
   struct Snapshot {
@@ -194,95 +217,111 @@ class Attribution {
     // accumulator (assumes monotonic growth).
     Snapshot Since(const Snapshot& base) const;
   };
-  Snapshot Take() const { return Snapshot{cells_, total_}; }
+  Snapshot Take() const { return Snapshot{cells(), total_}; }
 
   // Deterministic single-line summary (nonzero layers only), for debugging.
   std::string DebugString() const;
 
  private:
   static constexpr std::size_t kMaxDepth = 16;
+  static constexpr std::size_t kLayers = static_cast<std::size_t>(CostDomain::kCount);
+  static constexpr std::size_t kWaitIndex = static_cast<std::size_t>(CostDomain::kWait);
+  static_assert(kLayers <= 16, "Row::entered holds one bit per layer");
 
-  // Points both cached cells at the current context's cells. Called only
-  // when the context key changed: an unchanged key already has its cell and
-  // a current pointer. Every entered context creates its cell, even if it is
-  // never charged, because zero-valued cells are output (per-path reports
-  // and digests list them). Record and RecordWait stay two additions each.
-  void Revalidate() {
-    work_cell_ = Resolve(WorkKey());
-    wait_cell_ = Resolve(Key{CostDomain::kWait, actor_, path_, cpu_});
-  }
-  Key WorkKey() const { return Key{CurrentLayer(), actor_, path_, cpu_}; }
-
-  // A direct-mapped memo in front of cells_. Map nodes never move and are
-  // never erased, so a cached pointer stays valid for the object's life.
-  SimTime* Resolve(const Key& k) {
-    MemoSlot& slot = memo_[MemoIndex(k)];
-    if (slot.cell == nullptr || !(slot.key == k)) {
-      slot = MemoSlot{k, &cells_[k]};
-    }
-    return slot.cell;
-  }
-  static std::size_t MemoIndex(const Key& k) {
-    std::uint64_t h = static_cast<std::uint64_t>(k.layer);
-    h = h * 31 + k.domain;
-    h = h * 31 + k.path;
-    h = h * 31 + k.cpu;
-    return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits));
-  }
-
-  static constexpr int kMemoBits = 6;
-  struct MemoSlot {
-    Key key;
-    SimTime* cell = nullptr;
+  // Every cell of one (actor, path, cpu) context. |entered| has bit i set
+  // once the context was entered with layer i current, and the kWait bit
+  // from birth: those are the cells that exist. Every entered context
+  // creates its cells even if nothing is ever charged there, because
+  // zero-valued cells are output (per-path reports and digests list them).
+  struct Row {
+    DomainId actor;
+    AttrPathId path;
+    std::uint32_t cpu;
+    std::uint16_t entered;
+    SimTime cell[kLayers];
   };
 
-  std::map<Key, SimTime> cells_;
+  // Makes (actor, path, cpu) the current row, and its cell for the current
+  // layer the work cell. Cells are created here, on entry, never on the
+  // first charge: Record and RecordWait stay two additions each.
+  void Enter(DomainId actor, AttrPathId path, std::uint32_t cpu) {
+    row_ = FindRow(actor, path, cpu);
+    EnterLayer();
+  }
+  void EnterLayer() {
+    const auto layer = static_cast<std::size_t>(CurrentLayer());
+    work_cell_ = &row_->cell[layer];
+    row_->entered = static_cast<std::uint16_t>(row_->entered | 1u << layer);
+  }
+
+  // A direct-mapped memo of row pointers in front of the ordered index; a
+  // miss looks the row up there or creates it. Rows live in a deque, never
+  // move and are never erased, so a cached pointer stays valid for the
+  // object's life.
+  Row* FindRow(DomainId actor, AttrPathId path, std::uint32_t cpu) {
+    std::uint64_t h = actor;
+    h = h * 31 + path;
+    h = h * 31 + cpu;
+    Row*& slot = memo_[static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits))];
+    if (slot == nullptr || slot->actor != actor || slot->path != path || slot->cpu != cpu) {
+      slot = IndexRow(actor, path, cpu);
+    }
+    return slot;
+  }
+  Row* IndexRow(DomainId actor, AttrPathId path, std::uint32_t cpu);
+
+  static constexpr int kMemoBits = 8;
+
+  std::deque<Row> rows_;
+  std::map<std::tuple<DomainId, AttrPathId, std::uint32_t>, Row*> index_;
   SimTime total_ = 0;
+  Row* row_ = nullptr;
   SimTime* work_cell_ = nullptr;
-  SimTime* wait_cell_ = nullptr;
   CostDomain stack_[kMaxDepth] = {};
   std::size_t depth_ = 0;
-  DomainId actor_ = kInvalidDomainId;
-  AttrPathId path_ = kAttrNoPath;
-  std::uint32_t cpu_ = 0;
-  MemoSlot memo_[std::size_t{1} << kMemoBits] = {};
+  std::size_t scopes_ = 0;
+  Row* memo_[std::size_t{1} << kMemoBits] = {};
 };
 
-// --- Tagging scopes (RAII; nestable; innermost wins) ---------------------------
+// --- Tagging scopes (RAII; nestable; innermost wins; strictly LIFO) ------------
 
 class LayerScope {
  public:
-  LayerScope(Attribution& a, CostDomain d) : a_(&a) { a_->PushLayer(d); }
-  ~LayerScope() { a_->PopLayer(); }
+  LayerScope(Attribution& a, CostDomain d) : a_(&a), level_(a.EnterScope()) { a_->PushLayer(d); }
+  ~LayerScope() {
+    a_->PopLayer();
+    a_->ExitScope(level_);
+  }
   LayerScope(const LayerScope&) = delete;
   LayerScope& operator=(const LayerScope&) = delete;
 
  private:
   Attribution* a_;
+  std::size_t level_;
 };
 
 class ActorScope {
  public:
-  ActorScope(Attribution& a, DomainId d) : a_(&a), prev_(a.actor()) { a_->SetActor(d); }
-  ~ActorScope() { a_->SetActor(prev_); }
+  ActorScope(Attribution& a, DomainId d) : a_(&a), mark_(a.Save()) { a_->SetActor(d); }
+  ~ActorScope() { a_->Restore(mark_); }
   ActorScope(const ActorScope&) = delete;
   ActorScope& operator=(const ActorScope&) = delete;
 
  private:
   Attribution* a_;
-  DomainId prev_;
+  Attribution::Mark mark_;
 };
 
 class PathScope {
  public:
-  PathScope(Attribution& a, AttrPathId p) : a_(&a), prev_(a.path()) { a_->SetPath(p); }
-  ~PathScope() { a_->SetPath(prev_); }
+  PathScope(Attribution& a, AttrPathId p) : a_(&a), mark_(a.Save()) { a_->SetPath(p); }
+  ~PathScope() { a_->Restore(mark_); }
   PathScope(const PathScope&) = delete;
   PathScope& operator=(const PathScope&) = delete;
 
  private:
   Attribution* a_;
-  AttrPathId prev_;
+  Attribution::Mark mark_;
 };
 
 }  // namespace fbufs

@@ -54,7 +54,21 @@ void TraceExporter::AddHost(const std::string& name, std::uint32_t pid, const Tr
     AppendMeta(pid, TidFor(static_cast<TraceCategory>(c)), "thread_name",
                TraceCategoryName(static_cast<TraceCategory>(c)));
   }
+  // A wrapped ring starts mid-stream: an 'E' whose 'B' was overwritten
+  // closes a span the export never opened, so it is dropped. Spans nest per
+  // lane, so an 'E' on a lane with no open 'B' is exactly such an orphan.
+  std::uint32_t open[static_cast<std::size_t>(TraceCategory::kCount)] = {};
   for (const TraceEvent& ev : trace.Snapshot()) {
+    std::uint32_t& depth = open[static_cast<std::size_t>(ev.category)];
+    if (ev.phase == TracePhase::kBegin) {
+      depth++;
+    } else if (ev.phase == TracePhase::kEnd) {
+      if (depth > 0) {
+        depth--;
+      } else if (trace.wrapped()) {
+        continue;
+      }
+    }
     // Markers and instants are both instants ('i').
     const char ph = ev.phase == TracePhase::kBegin ? 'B'
                     : ev.phase == TracePhase::kEnd ? 'E'

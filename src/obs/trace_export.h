@@ -31,7 +31,8 @@ class LifecycleTracker;
 class TraceExporter {
  public:
   // Adds one host's trace ring as a process lane group. |pid| must be unique
-  // per host; the snapshot is taken at call time.
+  // per host; the snapshot is taken at call time. If the ring wrapped, 'E'
+  // events whose 'B' was overwritten are left out.
   void AddHost(const std::string& name, std::uint32_t pid, const Trace& trace);
 
   // Adds a resource's recorded busy intervals (requires

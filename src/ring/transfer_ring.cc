@@ -14,7 +14,7 @@
 namespace fbufs {
 
 namespace {
-bool IsPowerOfTwo(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
+[[maybe_unused]] bool IsPowerOfTwo(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
 TransferRing::TransferRing(Machine* machine, FbufSystem* fsys, Rpc* rpc,

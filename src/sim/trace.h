@@ -145,6 +145,8 @@ class Trace {
   }
 
   std::uint64_t total_emitted() const { return total_; }
+  // True once an emission overwrote the oldest event.
+  bool wrapped() const { return wrapped_; }
   std::size_t size() const { return ring_.size(); }
 
   // Human-readable dump of up to |max| most recent events.

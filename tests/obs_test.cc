@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -33,8 +34,9 @@ SimTime CellSum(const Attribution& a) {
 }
 
 std::size_t ZeroCells(const Attribution& a) {
+  const std::map<Attribution::Key, SimTime> cells = a.cells();
   return static_cast<std::size_t>(std::count_if(
-      a.cells().begin(), a.cells().end(), [](const auto& cell) { return cell.second == 0; }));
+      cells.begin(), cells.end(), [](const auto& cell) { return cell.second == 0; }));
 }
 
 void ExpectConserved(Machine& m) {
@@ -231,6 +233,8 @@ class NaiveAttribution {
 
   const std::map<Attribution::Key, SimTime>& cells() const { return cells_; }
   SimTime total() const { return total_; }
+  DomainId actor() const { return actor_; }
+  AttrPathId path() const { return path_; }
 
  private:
   // Attribution keeps only the outermost 16 layers; deeper pushes leave the
@@ -324,10 +328,114 @@ TEST(Attribution, FastPathMatchesNaiveResolution) {
   EXPECT_GT(ZeroCells(fast), 0u);
 }
 
+// Randomly nested LayerScope/ActorScope/PathScope objects, with lane
+// changes while scopes are open, against the reference whose scopes set the
+// previous value back on exit. The scopes under test restore the context
+// they saved on entry unless the lane moved meanwhile.
+class ScopeDriver {
+ public:
+  void Run(std::size_t depth) {
+    max_depth_ = std::max(max_depth_, depth);
+    while (ops_ < kOps && !testing::Test::HasFatalFailure()) {
+      if (++ops_ % 1000 == 0) {
+        ASSERT_EQ(fast_.cells(), ref_.cells()) << "before op " << ops_;
+        ASSERT_EQ(fast_.total(), ref_.total()) << "before op " << ops_;
+      }
+      const std::uint32_t op = rng_() % 100;
+      if (op < 12 && depth > 0) {
+        return;  // close the innermost scope
+      }
+      if (op < 36 && depth < kDepthLimit) {
+        OpenScope(op, depth);
+      } else if (op < 50) {
+        const std::uint32_t cpu = rng_() % kCpus;
+        lane_moves_in_scope_ += depth > 0 && cpu != fast_.cpu();
+        fast_.SetCpu(cpu);
+        ref_.SetCpu(cpu);
+      } else if (op < 88) {
+        const SimTime ns = rng_() % 100;  // zero charges included
+        fast_.Record(ns);
+        ref_.Record(ns);
+      } else {
+        const SimTime ns = rng_() % 100;
+        fast_.RecordWait(ns);
+        ref_.RecordWait(ns);
+      }
+    }
+  }
+
+  const Attribution& fast() const { return fast_; }
+  const NaiveAttribution& ref() const { return ref_; }
+  std::size_t max_depth() const { return max_depth_; }
+  std::size_t lane_moves_in_scope() const { return lane_moves_in_scope_; }
+
+ private:
+  static constexpr int kOps = 20000;
+  static constexpr std::size_t kDepthLimit = 24;  // past the 16-deep layer clamp
+  static constexpr std::uint32_t kCpus = 3;
+
+  void OpenScope(std::uint32_t op, std::size_t depth) {
+    const DomainId actors[] = {kInvalidDomainId, kKernelDomainId, 1, 2, 7};
+    const AttrPathId paths[] = {kAttrNoPath, 0, 3, 9};
+    if (op < 20) {
+      const auto d = static_cast<CostDomain>(rng_() % static_cast<std::uint32_t>(CostDomain::kCount));
+      LayerScope scope(fast_, d);
+      ref_.PushLayer(d);
+      Run(depth + 1);
+      ref_.PopLayer();
+    } else if (op < 28) {
+      const DomainId prev = ref_.actor();
+      const DomainId d = actors[rng_() % std::size(actors)];
+      ActorScope scope(fast_, d);
+      ref_.SetActor(d);
+      Run(depth + 1);
+      ref_.SetActor(prev);
+    } else {
+      const AttrPathId prev = ref_.path();
+      const AttrPathId p = paths[rng_() % std::size(paths)];
+      PathScope scope(fast_, p);
+      ref_.SetPath(p);
+      Run(depth + 1);
+      ref_.SetPath(prev);
+    }
+  }
+
+  std::mt19937 rng_{19};
+  Attribution fast_;
+  NaiveAttribution ref_;
+  int ops_ = 0;
+  std::size_t max_depth_ = 0;
+  std::size_t lane_moves_in_scope_ = 0;
+};
+
+TEST(Attribution, ScopeRestoreMatchesNaiveResolution) {
+  ScopeDriver driver;
+  driver.Run(0);
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+  EXPECT_EQ(driver.fast().cells(), driver.ref().cells());
+  EXPECT_EQ(driver.fast().total(), driver.ref().total());
+  // The sequence reached what it was built to reach.
+  EXPECT_GT(driver.max_depth(), 16u);
+  EXPECT_GT(driver.lane_moves_in_scope(), 100u);
+  EXPECT_GT(ZeroCells(driver.fast()), 0u);
+}
+
 #if GTEST_HAS_DEATH_TEST
 TEST(AttributionDeathTest, PopLayerWithoutPushLayerAsserts) {
   Attribution attr;
   EXPECT_DEBUG_DEATH(attr.PopLayer(), "PopLayer without PushLayer");
+}
+
+TEST(AttributionDeathTest, ScopeExitOutOfOrderAsserts) {
+  EXPECT_DEBUG_DEATH(
+      {
+        Attribution attr;
+        std::optional<ActorScope> outer;
+        outer.emplace(attr, 1);
+        PathScope inner(attr, 2);
+        outer.reset();
+      },
+      "out of LIFO order");
 }
 #endif
 
@@ -481,6 +589,51 @@ TEST(TraceExport, PhaseMarkersBecomeInstants) {
   EXPECT_NE(j.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(j.find("fault/burst"), std::string::npos);
   EXPECT_NE(j.find("\"ts\":1.500"), std::string::npos);  // ns -> us, integer math
+}
+
+std::size_t Occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    n++;
+  }
+  return n;
+}
+
+// A ring that wraps mid-span keeps 'E' events whose 'B' was overwritten;
+// the export leaves them out so every lane it writes is balanced.
+TEST(TraceExport, WrappedRingDropsEndsWhoseBeginWasOverwritten) {
+  auto emit = [](Trace& t) {
+    t.EnableAll();
+    t.Begin(TraceCategory::kIpc, "outer");
+    t.Begin(TraceCategory::kIpc, "inner");
+    t.Begin(TraceCategory::kVm, "map");
+    t.End(TraceCategory::kIpc, "inner");
+    t.End(TraceCategory::kIpc, "outer");
+    t.End(TraceCategory::kVm, "map");
+    t.Begin(TraceCategory::kIpc, "next");
+    t.End(TraceCategory::kIpc, "next");
+  };
+  SimClock clock;
+  Trace small(&clock, /*capacity=*/5);
+  emit(small);
+  ASSERT_TRUE(small.wrapped());
+  ASSERT_EQ(small.Snapshot().front().phase, TracePhase::kEnd);
+  TraceExporter ex;
+  ex.AddHost("host", 1, small);
+  const std::string j = ex.ToJson();
+  EXPECT_EQ(Occurrences(j, "\"ph\":\"B\""), 1u);
+  EXPECT_EQ(Occurrences(j, "\"ph\":\"E\""), 1u);
+  EXPECT_EQ(Occurrences(j, "\"name\":\"next\""), 2u);
+  EXPECT_EQ(Occurrences(j, "\"name\":\"outer\""), 0u);
+
+  // An unwrapped ring exports every span as emitted.
+  Trace big(&clock, /*capacity=*/16);
+  emit(big);
+  ASSERT_FALSE(big.wrapped());
+  TraceExporter full;
+  full.AddHost("host", 1, big);
+  EXPECT_EQ(Occurrences(full.ToJson(), "\"ph\":\"E\""), 4u);
 }
 
 TEST(TraceExport, ResourceBusyIntervalsBecomeCompleteEvents) {
