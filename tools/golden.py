@@ -4,7 +4,9 @@
 The manifest (GOLDEN.json at the repository root) maps
   - every BENCH_*.json, CAMPAIGN_*.json and TRACE_*.json file in a bench
     directory, with its host-timed "sim_throughput" line dropped, and
-  - the stdout of the frozen paper benches (Figures 3-6, Table 1)
+  - the stdout of the frozen paper benches (Figures 3-6, Table 1) and of
+    the --smoke runs of the sweeps that build many worlds in one process
+    (campaigns, multicore, ablation_rings, incast, server, pressure)
 to SHA-256 digests. Every BENCH_* and CAMPAIGN_* file must also parse as
 JSON (TRACE_* files are checked in depth by tools/validate_traces.py).
 
@@ -31,12 +33,20 @@ import sys
 import tempfile
 
 PATTERNS = ("BENCH_*.json", "CAMPAIGN_*.json", "TRACE_*.json")
+# Each entry is a bench program and its arguments; the manifest key is the
+# command line.
 PINNED_STDOUT = (
-    "fig3_single_crossing",
-    "fig4_udp_loopback",
-    "fig5_endtoend_cached",
-    "fig6_endtoend_uncached",
-    "table1_per_page_costs",
+    ("fig3_single_crossing",),
+    ("fig4_udp_loopback",),
+    ("fig5_endtoend_cached",),
+    ("fig6_endtoend_uncached",),
+    ("table1_per_page_costs",),
+    ("campaigns", "--smoke"),
+    ("multicore", "--smoke"),
+    ("ablation_rings", "--smoke"),
+    ("incast", "--smoke"),
+    ("server", "--smoke"),
+    ("pressure", "--smoke"),
 )
 
 
@@ -68,11 +78,12 @@ def output_digests(bench_dir):
 
 def stdout_digests(bin_dir):
     out = {}
-    for name in PINNED_STDOUT:
-        exe = os.path.abspath(os.path.join(bin_dir, name))
+    for program, *args in PINNED_STDOUT:
+        name = " ".join([program, *args])
+        exe = os.path.abspath(os.path.join(bin_dir, program))
         with tempfile.TemporaryDirectory() as scratch:
-            run = subprocess.run([exe], cwd=scratch, stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE)
+            run = subprocess.run([exe, *args], cwd=scratch,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         if run.returncode != 0:
             sys.stderr.buffer.write(run.stderr)
             sys.exit(f"golden: {name} exited {run.returncode}")
